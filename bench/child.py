@@ -1,24 +1,22 @@
 """One pass of a workload in a fresh Python process.
 
 Started by ``run.py``; prints one JSON line on standard output.  The
-process imports numpy and spherebl and builds the scenarios (set-up, timed
-from the fork of the process), then feeds each scenario to
-``spherebl.cli.main(..., "--json")`` in process and times that call.
-Every time is taken net of other tenants' use of the CPUs (``timing.py``).
-Peak RSS is read from ``getrusage`` of this process before any check
-runs.  With ``--check`` the records are then held against the checks in
-``checks.py``; with ``--trace PATH`` the calls run under the span recorder
-of ``spans.py`` and the spans are written to PATH at the end.
+process imports numpy and spherebl and builds the scenarios (set-up,
+timed from just before ``run.py`` started the process), then feeds each
+scenario to ``spherebl.cli.main(..., "--json")`` in process and times that
+call by its wall time (``timing.py``).  An interpreter-bound workload also
+times a reference work before and after each call.  Peak RSS is read from
+``getrusage`` of this process before any check runs.  With ``--check`` the
+records are then held against the checks in ``checks.py``; with ``--trace
+PATH`` the calls run under the span recorder of ``spans.py`` and the spans
+are written to PATH at the end.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
-import io
 import json
-import os
 import re
 import resource
 import sys
@@ -35,14 +33,12 @@ def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--cpu", type=int, required=True,
-                    help="CPU for set-up and for a single-worker pass")
+    ap.add_argument("--t0", type=float, required=True,
+                    help="time.monotonic() just before the process was started")
     ap.add_argument("--check", action="store_true")
     ap.add_argument("--trace", default=None, metavar="PATH",
                     help="record spans, write them to PATH, probe sampling")
     args = ap.parse_args()
-    allowed = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, {args.cpu})
 
     import numpy  # noqa: F401  (set-up cost every CLI user pays)
     from spherebl import cli
@@ -50,16 +46,13 @@ def main() -> None:
     import workloads
 
     scenarios = workloads.calls(args.workload, args.seed)
-    calls = [(argv + ["-", "--json"], json.dumps(payload))
-             for argv, payload in scenarios]
-    # this thread's on-CPU time since the process was forked
-    setup_s = timing.schedstat("/proc/thread-self/schedstat")[0] / 1e9
-    # an interpreter-bound pass stays on its CPU and is timed against the
-    # reference work; a threaded pass gets every CPU once set up
+    texts = [json.dumps(payload) for _, payload in scenarios]
+    setup_s = time.monotonic() - args.t0
     timed_ref = args.workload in workloads.INTERPRETER_BOUND
-    threaded = int(os.environ.get("SPHEREBL_WORKERS", "1")) > 1 and not timed_ref
-    if threaded:
-        os.sched_setaffinity(0, allowed)
+    if timed_ref:
+        # the interpreter specialises the reference work's code on its
+        # first runs; the timed references all see it specialised
+        timing.reference_seconds()
 
     tracer = None
     if args.trace:
@@ -68,19 +61,18 @@ def main() -> None:
         tracer.install()
         cli = sys.modules["spherebl.cli"]
 
-    walls, refs, outputs, codes = [], [], [], []
-    stdin = sys.stdin
-    for argv, text in calls:
+    walls, others, refs, runs = [], [], [], []
+    for (argv, _), text in zip(scenarios, texts):
         if timed_ref:
             refs.append(timing.reference_seconds())
-        sys.stdin = io.StringIO(text)
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            walls.append(timing.timed(lambda: codes.append(cli.main(argv)), threaded))
-        outputs.append(buf.getvalue())
+        wall, other = timing.timed(
+            lambda: runs.append(workloads.invoke(cli, argv, text)))
+        walls.append(wall)
+        others.append(other)
     if timed_ref:
         refs.append(timing.reference_seconds())
-    sys.stdin = stdin
+    codes = [code for code, _ in runs]
+    outputs = [out for _, out in runs]
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     # the reported wall time is the only part of a record that may differ
@@ -88,8 +80,8 @@ def main() -> None:
     stripped = [WALL_FIELD.sub("", out, count=1) for out in outputs]
     digest = hashlib.sha256("\n".join(stripped).encode()).hexdigest()
 
-    result = {"codes": codes, "walls": walls, "refs": refs, "setup_s": setup_s,
-              "rss_mb": rss_mb, "digest": digest}
+    result = {"codes": codes, "walls": walls, "others": others, "refs": refs,
+              "setup_s": setup_s, "rss_mb": rss_mb, "digest": digest}
     if tracer is not None:
         metrics = tracer.metrics()
         metrics["cli.output_bytes"] = sum(len(out.encode()) for out in stripped)

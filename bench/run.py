@@ -4,16 +4,15 @@
 
 Run from the root of a checkout.  Every pass of a workload runs in a fresh
 Python process (``child.py``) that calls ``spherebl.cli.main(..., --json)``
-in process.  Each pass sets up on one CPU, taken in turn; a single-worker
-or interpreter-bound pass also runs there.  With ``--trace 0`` the run
+in process and times each call by its wall time.  With ``--trace 0`` the run
 repeats whole rounds until the next round would end after S seconds; a
 round is one pass with SPHEREBL_WORKERS=2 and one with SPHEREBL_WORKERS=1,
 in alternating order.
 The last line printed is the result: the medians of the end-to-end metrics
 over the run's passes, the CLI calls attempted and failed, and whether
 every output passed the checks in ``checks.py``.  With ``--trace 1`` the
-workload runs once untraced and once traced, both with one worker, and the
-result holds the per-layer metrics.  Raw figures of each run are kept in
+workload runs untraced, traced, traced and untraced, all with one worker,
+and the result holds the per-layer metrics.  Raw figures of each run are kept in
 ``.bench_runs/``.  See README.md in this directory.
 """
 
@@ -40,29 +39,34 @@ RUN_LIMIT_S = 170.0
 
 #: An interpreter-bound call is timed against the reference work of
 #: ``timing.py`` run just before and just after it, and scaled to a CPU
-#: on which that work takes REFERENCE_S.  A pass whose reference times
-#: differ by more than the factor STEADY changed speed mid-way; it enters
-#: the medians only when no pass of its worker count held steady.
+#: on which that work takes REFERENCE_S.  Between slow and fast phases of
+#: a CPU the call's time moves as the reference's to the power 0.74 (a fit
+#: of log times over 88 passes), so the scale is the speed ratio to the
+#: power SPEED_POWER.  A pass whose reference times differ by more than
+#: the factor STEADY changed speed mid-way.
 REFERENCE_S = 0.06
+SPEED_POWER = 0.75
 STEADY = 1.25
+
+#: A pass during whose calls other processes used more than this share of
+#: the machine's CPU capacity was disturbed by them.  Unsteady and
+#: disturbed passes enter the medians only when no pass of their worker
+#: count was clean; they are never corrected.
+QUIET = 0.10
 
 
 class Pass:
-    """Starts the passes of one run, each on the next CPU in turn."""
+    """Starts the passes of one run."""
 
     def __init__(self, workload: str, seed: int, deadline: float):
         self.workload, self.seed, self.deadline = workload, seed, deadline
         self.ncalls = len(workloads.calls(workload, seed))
-        self.cpus = sorted(os.sched_getaffinity(0))
-        self.count = 0
 
     def __call__(self, workers: int, *extra: str) -> dict | None:
-        cmd = [sys.executable, str(BENCH / "child.py"), "--workload", self.workload,
-               "--seed", str(self.seed), *extra]
-        cmd += ["--cpu", str(self.cpus[self.count % len(self.cpus)])]
-        self.count += 1
         env = dict(os.environ, SPHEREBL_WORKERS=str(workers))
         timeout = max(1.0, self.deadline - time.monotonic())
+        cmd = [sys.executable, str(BENCH / "child.py"), "--workload", self.workload,
+               "--seed", str(self.seed), *extra, "--t0", repr(time.monotonic())]
         try:
             proc = subprocess.run(cmd, env=env, cwd=ROOT, capture_output=True,
                                   text=True, timeout=timeout)
@@ -85,12 +89,21 @@ def wall(res: dict) -> float:
     r = res["refs"]
     if not r:
         return sum(res["walls"])
-    return sum(w * 2 * REFERENCE_S / (r[k] + r[k + 1])
+    return sum(w * (2 * REFERENCE_S / (r[k] + r[k + 1])) ** SPEED_POWER
                for k, w in enumerate(res["walls"]))
 
 
-def steady(passes: list[dict]) -> list[dict]:
-    kept = [p for p in passes if not p["refs"] or max(p["refs"]) <= STEADY * min(p["refs"])]
+def others(res: dict) -> float:
+    """Share of the machine's CPU capacity other processes used during
+    the pass's calls."""
+    return sum(w * o for w, o in zip(res["walls"], res["others"])) / sum(res["walls"])
+
+
+def clean(passes: list[dict]) -> list[dict]:
+    """The passes that held steady and that others left alone, or all of
+    them when none did."""
+    kept = [p for p in passes if others(p) <= QUIET and (
+        not p["refs"] or max(p["refs"]) <= STEADY * min(p["refs"]))]
     return kept or passes
 
 
@@ -124,8 +137,8 @@ def timed_run(runner: Pass, seconds: float) -> tuple[list, dict]:
     metrics = {}
     if two and one:
         metrics = {
-            "wall_s": (statistics.median(map(wall, steady(two))), "s"),
-            "wall_1w_s": (statistics.median(map(wall, steady(one))), "s"),
+            "wall_s": (statistics.median(map(wall, clean(two))), "s"),
+            "wall_1w_s": (statistics.median(map(wall, clean(one))), "s"),
             "setup_s": (statistics.median(p["setup_s"] for p in done), "s"),
             # one worker: the peak does not hang on how two threads overlap
             "peak_rss_mb": (statistics.median(p["rss_mb"] for p in one), "MB"),
@@ -138,15 +151,18 @@ LAYER_UNITS = {"busy_s": "s", "self_s": "s", "overhead_s": "s", "mb": "MB",
 
 
 def traced_run(runner: Pass) -> tuple[list, dict]:
-    plain = runner(1, "--check")
+    """Untraced, traced, traced, untraced: the overhead is the mean traced
+    minus the mean untraced time, so a drift of the host's speed over the
+    four passes cancels out."""
     OUT.mkdir(exist_ok=True)
     spans = OUT / f"spans-{runner.workload}-seed{runner.seed}.json"
-    traced = runner(1, "--trace", str(spans))
-    passes = [plain, traced]
-    if plain is None or traced is None:
+    passes = [runner(1, "--check"), runner(1, "--trace", str(spans)),
+              runner(1, "--trace", str(spans)), runner(1)]
+    if None in passes:
         return passes, {}
-    layers = dict(traced["layers"])
-    layers["trace.overhead_s"] = sum(traced["walls"]) - sum(plain["walls"])
+    plain, traced = passes[0::3], passes[1:3]
+    layers = dict(traced[-1]["layers"])
+    layers["trace.overhead_s"] = (sum(map(wall, traced)) - sum(map(wall, plain))) / 2
     metrics = {}
     for name, value in sorted(layers.items()):
         suffix = name.split(".", 1)[1]

@@ -11,9 +11,7 @@ flags two passes of one seed whose outputs differ.  Exits 1 on any miss.
 
 from __future__ import annotations
 
-import contextlib
 import copy
-import io
 import json
 import sys
 from pathlib import Path
@@ -38,12 +36,7 @@ def run_calls(workload: str) -> tuple[list, list[dict]]:
             payload["quad"]["samples"] = SAMPLES
         if argv[0] == "verify-holder":
             payload["count"] = 1
-        sys.stdin = io.StringIO(json.dumps(payload))
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            cli.main(argv + ["-", "--json"])
-        records.append(json.loads(buf.getvalue()))
-    sys.stdin = sys.__stdin__
+        records.append(json.loads(workloads.invoke(cli, argv, json.dumps(payload))[1]))
     return calls, records
 
 

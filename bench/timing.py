@@ -1,26 +1,22 @@
-"""Timing that holds steady on a shared host.
+"""Timing on a shared host.
 
-Three effects of other tenants are taken out of every time the benchmark
-reports:
+Every time the benchmark reports is a wall time of the program's own
+work, taken with ``time.perf_counter``.  Nothing is rescaled by how much
+of the CPUs the program got: a change that makes the program's threads
+contend with each other, or leaves a thread asleep while another works,
+shows in full.
 
-* Time slicing.  Other processes on the same CPUs keep a runnable thread
-  waiting in the run queue.
-* Steal.  The hypervisor runs other guests on the host CPUs behind our
-  virtual CPUs.
-* Slow phases of a CPU.  A busy sibling hardware thread slows the
-  interpreter by up to 1.75 times for minutes at a time.
+Other tenants of the machine still slow a call down, so each call also
+reports the share of the machine's CPU capacity that others used while
+it ran: the busy time of all CPUs (``/proc/stat``, steal included) minus
+this process's own CPU time (``getrusage``), over the number of CPUs
+times the wall time.  The run uses that share only to set aside passes
+that others disturbed (``run.QUIET``), never to correct a time.
 
-A single thread is timed by its own on-CPU time, which the kernel keeps
-net of both run-queue waits and steal (``/proc/thread-self/schedstat``);
-for work that neither sleeps nor waits on I/O that is its wall time on an
-unshared CPU.  The kernel brings that counter up to date only at
-scheduler ticks and switches, so it serves calls of a tenth of a second
-and more, not the 50 ms reference work.  A threaded call is timed by its wall time scaled by
-on / (on + wait + steal), with on-CPU and run-queue times summed over its
-threads (``/proc/self/task/*/schedstat``) and the steal of all CPUs over
-the call (``/proc/stat``).  Interpreter-bound work is further timed
-against :func:`python_work` run just before and just after it on the same
-CPU, which takes out the slow phases.  The reference work never calls
+Interpreter-bound work further runs in fast and slow phases of the CPU
+that no counter shows (a busy sibling hardware thread).  Such a call is
+timed against :func:`python_work`, run just before and just after it in
+the same process (``run.wall``).  The reference work never calls
 spherebl, so a change to the program leaves it alone.
 """
 
@@ -29,96 +25,49 @@ from __future__ import annotations
 import gc
 import json
 import os
-import threading
+import resource
 import time
 
-
-def schedstat(path: str) -> tuple[int, int]:
-    """On-CPU and run-queue nanoseconds of one thread so far."""
-    with open(path) as fh:
-        on, wait, _ = fh.read().split()
-    return int(on), int(wait)
+_TICK_NS = 1_000_000_000 // os.sysconf("SC_CLK_TCK")
 
 
-class ProcessClock:
-    """On-CPU and run-queue nanoseconds summed over every thread of this
-    process, threads started meanwhile included.  A poller reads each
-    thread's counters every PERIOD seconds; a thread that ends loses at
-    most its last period."""
-
-    PERIOD = 0.01
-
-    def __init__(self):
-        self.on = self.wait = 0
-        self._last: dict = {}
-        self._stop = threading.Event()
-
-    def _read(self) -> dict:
-        out = {}
-        for tid in os.listdir("/proc/self/task"):
-            if int(tid) == self._own:
-                continue
-            try:
-                out[tid] = schedstat(f"/proc/self/task/{tid}/schedstat")
-            except (FileNotFoundError, ProcessLookupError):
-                pass  # the thread ended between listing and reading
-        return out
-
-    def _add(self, now: dict) -> None:
-        for tid, (on, wait) in now.items():
-            on0, wait0 = self._last.get(tid, (0, 0))
-            self.on += on - on0
-            self.wait += wait - wait0
-        self._last = now
-
-    def _poll(self) -> None:
-        while not self._stop.wait(self.PERIOD):
-            self._add(self._read())
-
-    def __enter__(self):
-        self._own = -1
-        self._last = self._read()
-        self._thread = threading.Thread(target=self._poll, daemon=True)
-        self._thread.start()
-        self._own = self._thread.native_id
-        return self
-
-    def __exit__(self, *exc):
-        self._stop.set()
-        self._thread.join()
-        self._add(self._read())
-
-
-def steal_ns() -> int:
-    """Nanoseconds stolen from all CPUs so far (``/proc/stat``)."""
+def _machine_busy_ns() -> tuple[int, int]:
+    """Busy nanoseconds of all CPUs of the machine so far (steal
+    included), and the number of CPUs (``/proc/stat``)."""
     with open("/proc/stat") as fh:
-        ticks = int(fh.readline().split()[8])
-    return ticks * 1_000_000_000 // os.sysconf("SC_CLK_TCK")
+        lines = fh.read().splitlines()
+    user, nice, system, _idle, _iowait, irq, softirq, steal = map(
+        int, lines[0].split()[1:9])
+    ncpus = sum(ln.startswith("cpu") and ln[3].isdigit() for ln in lines)
+    return (user + nice + system + irq + softirq + steal) * _TICK_NS, ncpus
 
 
-def timed(fn, threaded: bool = False) -> float:
-    """Seconds ``fn()`` takes with no other tenant on the CPUs."""
-    if not threaded:
-        on = schedstat("/proc/thread-self/schedstat")[0]
-        fn()
-        return (schedstat("/proc/thread-self/schedstat")[0] - on) / 1e9
-    with ProcessClock() as clock:
-        stolen = steal_ns()
-        t0 = time.perf_counter()
-        fn()
-        wall = time.perf_counter() - t0
-        stolen = steal_ns() - stolen
-    return wall * clock.on / (clock.on + clock.wait + stolen)
+def _own_cpu_ns() -> int:
+    r = resource.getrusage(resource.RUSAGE_SELF)
+    return int((r.ru_utime + r.ru_stime) * 1e9)
 
 
-def reference_seconds() -> float:
-    """Wall seconds of :func:`python_work`, too short a work for the
-    on-CPU counter; a pass whose references disagree, as when another
-    process took the CPU meanwhile, is set aside by the run
-    (``run.STEADY``)."""
+def timed(fn) -> tuple[float, float]:
+    """Wall seconds of ``fn()``, and the share of the machine's CPU
+    capacity that other processes used meanwhile (0 on a quiet host)."""
+    busy, ncpus = _machine_busy_ns()
+    own = _own_cpu_ns()
     t0 = time.perf_counter()
-    python_work()
-    return time.perf_counter() - t0
+    fn()
+    wall = time.perf_counter() - t0
+    others = (_machine_busy_ns()[0] - busy) - (_own_cpu_ns() - own)
+    return wall, max(0.0, others / (ncpus * wall * 1e9))
+
+
+def reference_seconds(repeat: int = 3) -> float:
+    """Least wall seconds of :func:`python_work` over ``repeat`` runs; the
+    least leaves out a run that lost the CPU or met a timer interrupt."""
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        python_work()
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 
 def python_work() -> None:

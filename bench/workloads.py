@@ -11,7 +11,10 @@ machine.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import random
+import sys
 
 WORKLOADS = ("sharpness-critical", "holder-wide", "local-growth",
              "exact-combinatorics")
@@ -83,3 +86,16 @@ def calls(workload: str, seed: int) -> list[tuple[list[str], object]]:
         return [(["enumerate", "--classes"], {"n": n, "lengths": list(lengths)}),
                 (["exponents"], random_family(seed))]
     raise ValueError(f"unknown workload {workload!r}")
+
+
+def invoke(cli, argv: list[str], text: str) -> tuple[int, str]:
+    """Feed the scenario ``text`` to ``cli.main(argv + ["-", "--json"])``
+    in process; return its exit code and what it printed."""
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    buf = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(argv + ["-", "--json"])
+    finally:
+        sys.stdin = stdin
+    return code, buf.getvalue()
