@@ -70,6 +70,7 @@ from .quadrature import (
     ball_volume,
     block_rotation_residual,
     holder_verify,
+    holder_verify_sets,
     integrate_sphere,
     lp_norm_sphere,
     mc_ball_estimates,

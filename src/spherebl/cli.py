@@ -18,7 +18,7 @@ from typing import Any, Sequence
 
 from . import __version__
 from .enumeration import DEFAULT_CAP, canonical_classes, enumerate_symmetries
-from .errors import InputError
+from .errors import CapExceededError, InputError
 from .exponents import (
     BalancedType,
     balanced_types_upto,
@@ -37,7 +37,7 @@ from .extremal import (
 from .exponents import per_function_exponents
 from .functions import constant_integrand, random_block_invariant
 from .extremal import ExtremalParams, extremal_function
-from .quadrature import RNG_ALGORITHM, QuadConfig, holder_verify
+from .quadrature import RNG_ALGORITHM, QuadConfig, holder_verify_sets
 from .symmetry import EdgeSet, Symmetry, decompose, lie_closure
 
 MODES = ("decompose", "exponents", "enumerate", "identities",
@@ -123,8 +123,10 @@ def _quad_config(data: Any, path: str) -> QuadConfig:
         return QuadConfig()
     _require(isinstance(data, dict), path, "expected an object")
     allowed = {"samples", "seed", "shards"}
-    for key in data:
+    for key, value in data.items():
         _require(key in allowed, f"{path}.{key}", "unknown field")
+        _require(isinstance(value, int) and not isinstance(value, bool),
+                 f"{path}.{key}", "integer required")
     try:
         return QuadConfig(**data)
     except (TypeError, ValueError) as exc:
@@ -147,6 +149,20 @@ def _grid(data: Any, path: str, default: list[float], decreasing: bool) -> list[
             return [2.0**-k for k in range(lo, hi + 1)]
         return [2.0**k for k in range(lo, hi + 1)]
     raise InputError(path, "expected a list of values or a dyadic spec")
+
+
+def _cap(payload: dict) -> int:
+    cap = payload.get("cap", DEFAULT_CAP)
+    _require(isinstance(cap, int) and not isinstance(cap, bool) and cap > 0,
+             "cap", "positive integer required")
+    return cap
+
+
+def _enumerate(t: BalancedType, path: str, cap: int = DEFAULT_CAP) -> list[Symmetry]:
+    try:
+        return enumerate_symmetries(t, cap=cap)
+    except CapExceededError as exc:
+        raise InputError(path, str(exc)) from exc
 
 
 def _family_from_payload(payload: dict, path_root: str = "") -> list[Symmetry]:
@@ -206,12 +222,7 @@ def _run_exponents(payload: Any) -> tuple[dict, bool | None]:
 
 def _run_enumerate(payload: dict) -> tuple[dict, bool | None]:
     t = _balanced_type(payload, "")
-    cap = payload.get("cap", DEFAULT_CAP)
-    _require(isinstance(cap, int) and cap > 0, "cap", "positive integer required")
-    try:
-        fams = enumerate_symmetries(t, cap=cap)
-    except Exception as exc:
-        raise InputError("input", str(exc)) from exc
+    fams = _enumerate(t, "cap", _cap(payload))
     results: dict = {"count": len(fams), "type": t.to_dict()}
     if payload.get("classes"):
         classes = canonical_classes(fams)
@@ -268,7 +279,7 @@ def _run_verify_holder(payload: dict) -> tuple[dict, bool | None]:
     quad = _quad_config(payload.get("quad"), "quad")
     if "type" in payload:
         t = _balanced_type(payload["type"], "type")
-        fams = enumerate_symmetries(t)
+        fams = _enumerate(t, "type")
         type_label = f"{t.n},{list(t.lengths)}"
     else:
         fams = _family_from_payload(payload)
@@ -285,17 +296,14 @@ def _run_verify_holder(payload: dict) -> tuple[dict, bool | None]:
     count = payload.get("count", 1)
     _require(isinstance(count, int) and 1 <= count <= 1000, "count",
              "integer in [1, 1000] required")
-    records = []
-    ok = True
-    for rep in range(count):
-        fs = _holder_functions(payload.get("functions"), fams,
-                               repetition=rep, fallback_seed=quad.seed)
-        try:
-            rec = holder_verify(fams, fs, ps, quad)
-        except ValueError as exc:
-            raise InputError("ps", str(exc)) from exc
-        ok = ok and rec.passed
-        records.append(rec)
+    fs_sets = [_holder_functions(payload.get("functions"), fams,
+                                 repetition=rep, fallback_seed=quad.seed)
+               for rep in range(count)]
+    try:
+        records = holder_verify_sets(fams, fs_sets, ps, quad)
+    except ValueError as exc:
+        raise InputError("ps", str(exc)) from exc
+    ok = all(r.passed for r in records)
     return {
         "type_label": type_label,
         "records": [r.to_dict() for r in records],
@@ -311,12 +319,12 @@ def _run_verify_sharpness(payload: dict) -> tuple[dict, bool | None]:
     eps_grid = _grid(payload.get("eps_grid"), "eps_grid", default_eps_grid(),
                      decreasing=True)
     gamma = payload.get("gamma")
-    cap = payload.get("cap", DEFAULT_CAP)
+    cap = _cap(payload)
     try:
         report = sharpness_experiment(
             t, p, quad, eps_grid=eps_grid,
             gamma=None if gamma is None else float(gamma), cap=cap)
-    except ValueError as exc:
+    except (ValueError, CapExceededError) as exc:
         raise InputError("input", str(exc)) from exc
     return {"report": report.to_dict(), "type": t.to_dict()}, report.passed
 
@@ -324,7 +332,7 @@ def _run_verify_sharpness(payload: dict) -> tuple[dict, bool | None]:
 def _run_verify_local(payload: dict) -> tuple[dict, bool | None]:
     if "type" in payload:
         t = _balanced_type(payload["type"], "type")
-        fams = enumerate_symmetries(t)
+        fams = _enumerate(t, "type")
     else:
         fams = _family_from_payload(payload)
     exps = per_function_exponents(fams)
@@ -333,7 +341,10 @@ def _run_verify_local(payload: dict) -> tuple[dict, bool | None]:
     quad = _quad_config(payload.get("quad"), "quad")
     r_grid = _grid(payload.get("r_grid"), "r_grid", default_r_grid(),
                    decreasing=False)
-    report = local_growth_experiment(fams, exps, eta, r_grid, quad)
+    try:
+        report = local_growth_experiment(fams, exps, eta, r_grid, quad)
+    except ValueError as exc:
+        raise InputError("r_grid", str(exc)) from exc
     # the growth bound caps the admissible slope at delta
     passed = report.fitted_slope <= float(report.delta_target) + 3 * report.slope_stderr
     window = payload.get("slope_window")

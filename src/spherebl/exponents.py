@@ -89,7 +89,9 @@ class BalancedType:
         return cls(data["n"], tuple(data["lengths"]))
 
 
-def _family_edge_counts(fams: Sequence[Symmetry]) -> tuple[int, dict]:
+def _family_edge_counts(fams: Sequence[Symmetry]) -> tuple[list[frozenset], dict]:
+    """Each member's edge set, and per basis field the number of members
+    not containing it."""
     if not fams:
         raise ValueError("empty symmetry family")
     n = fams[0].n
@@ -101,7 +103,26 @@ def _family_edge_counts(fams: Sequence[Symmetry]) -> tuple[int, dict]:
         e: sum(1 for es in edge_sets if e not in es)
         for e in complete_edges(n)
     }
-    return n, counts
+    return edge_sets, counts
+
+
+def _uniform(counts: dict) -> int:
+    p = max(counts.values())
+    if p == 0:
+        raise DegenerateFamilyError(
+            "every field lies in every member; all symmetric functions are constant")
+    return p
+
+
+def _per_function(edge_sets: list[frozenset], counts: dict) -> list[int]:
+    out = []
+    for j, inside in enumerate(edge_sets):
+        comp = [c for e, c in counts.items() if e not in inside]
+        if not comp:
+            raise DegenerateFamilyError(
+                f"family member {j} contains every field; its function is constant")
+        out.append(max(comp))
+    return out
 
 
 def uniform_exponent(fams: Sequence[Symmetry]) -> int:
@@ -113,28 +134,14 @@ def uniform_exponent(fams: Sequence[Symmetry]) -> int:
     maximum unless it is 0 everywhere, which means every symmetric function
     is constant and is rejected as degenerate.
     """
-    _, counts = _family_edge_counts(fams)
-    p = max(counts.values())
-    if p == 0:
-        raise DegenerateFamilyError(
-            "every field lies in every member; all symmetric functions are constant")
-    return p
+    return _uniform(_family_edge_counts(fams)[1])
 
 
 def per_function_exponents(fams: Sequence[Symmetry]) -> list[int]:
     """Sharp exponent of each function: the most recurrent field of its own
     complement.  Degenerate members (full edge set, constant function) have
     an empty complement and are rejected."""
-    _, counts = _family_edge_counts(fams)
-    out = []
-    for j, s in enumerate(fams):
-        inside = s.edges().edges
-        comp = [c for e, c in counts.items() if e not in inside]
-        if not comp:
-            raise DegenerateFamilyError(
-                f"family member {j} contains every field; its function is constant")
-        out.append(max(comp))
-    return out
+    return _per_function(*_family_edge_counts(fams))
 
 
 def j_max(t: BalancedType) -> int:
@@ -376,14 +383,15 @@ def report_for_family(fams: Sequence[Symmetry]) -> ExponentReport:
     The ordering overcount is only meaningful when all members share one
     length profile; mixed families get the neutral factor 1.
     """
-    per = per_function_exponents(fams)
+    edge_sets, counts = _family_edge_counts(fams)
+    per = _per_function(edge_sets, counts)
     profiles = {s.length_profile() for s in fams}
     if len(profiles) == 1:
         over = math.prod(math.factorial(c) for c in Counter(next(iter(profiles))).values())
     else:
         over = 1
     return ExponentReport(
-        p_uniform=uniform_exponent(fams),
+        p_uniform=_uniform(counts),
         p_per_function=tuple(per),
         j_count=len(fams),
         delta=local_delta(fams, per),

@@ -18,11 +18,15 @@ finite norms and a divergent product integral.
 Numerically the singular bases are floored: |x| by max(|x|, eps) and
 (1 - |x|^2) by max(., eps^2).  Flooring keeps the integrand total on the
 sphere, monotone in eps (smaller eps, larger values), and gives clean 1-d
-asymptotics for the truncated norms.  Each grid point of an experiment is
-estimated from the same seeded sample stream (common random numbers), so
-grid series are exactly monotone where the integrand is, and a truncated
-norm that has converged stops changing to the last bit once eps drops
-below the sample resolution.
+asymptotics for the truncated norms.  The integrand depends on eps only
+through the floors, so one kernel evaluates a whole eps grid from the
+block radii, |x_j| and 1 - r^2 computed once per point.  Every grid point
+of an experiment is a value series of one estimator pass over one seeded
+sample stream (common random numbers), so grid series are exactly
+monotone where the integrand is, and a truncated norm that has converged
+stops changing to the last bit once eps drops below the sample
+resolution.  The local growth experiment likewise draws the unit ball once
+and evaluates every radius R on R times those points.
 
 The local growth experiment estimates the ball integral of a product of
 capped power profiles pulled back from the coordinate projections; its
@@ -53,9 +57,11 @@ from .quadrature import (
     Estimate,
     Integrand,
     QuadConfig,
+    ball_volume,
     mc_ball_estimates,
     mc_sphere_estimates,
     _power_transform,
+    _product_and_powers,
 )
 from .symmetry import Symmetry
 
@@ -84,6 +90,46 @@ def default_r_grid() -> list[float]:
     return [2.0**k for k in range(0, 11)]
 
 
+def _extremal_kernel(s: Symmetry, gamma: float, eps_grid: Sequence[float]):
+    """The truncated extremal integrand of ``s`` at every floor in
+    ``eps_grid``: maps (m, n) points to a (len(eps_grid), m) array.
+
+    The block radii, |x_j| and 1 - r^2 are computed once per call; only the
+    floors and the powers depend on eps.
+    """
+    for eps in eps_grid:
+        ExtremalParams(gamma=gamma, trunc=eps)  # raises on an invalid strength or floor
+    n = s.n
+    tail = [(np.array([i - 1 for i in a.support()], dtype=int), a.weight)
+            for a in s.alphas[1:]]
+    singles = np.array([i - 1 for i in s.r_mask.support()], dtype=int)
+
+    def ev(pts: np.ndarray) -> np.ndarray:
+        m = len(pts)
+        blocks = []
+        for cols, w in tail:
+            r2 = (pts[:, cols] ** 2).sum(axis=1)
+            blocks.append((np.sqrt(r2), 1.0 - r2, w))
+        if singles.size:
+            x = pts[:, singles]
+            ax, rest = np.abs(x), 1.0 - x * x
+        out = np.empty((len(eps_grid), m))
+        for row, eps in zip(out, eps_grid):
+            floor2 = eps * eps
+            prod = np.ones(m)
+            sums = np.zeros(m)
+            for r, rest_b, w in blocks:
+                prod = prod * np.maximum(r, eps) ** (-gamma * w)
+                sums += np.maximum(rest_b, floor2) ** (-gamma * (n - w) / 2.0)
+            if singles.size:
+                prod = prod * np.prod(np.maximum(ax, eps) ** (-gamma), axis=1)
+                sums += (np.maximum(rest, floor2) ** (-gamma * (n - 1) / 2.0)).sum(axis=1)
+            np.add(prod, sums, out=row)
+        return out
+
+    return ev
+
+
 def extremal_function(s: Symmetry, params: ExtremalParams) -> Integrand:
     """The truncated extremal integrand of the symmetry ``s``.
 
@@ -91,27 +137,8 @@ def extremal_function(s: Symmetry, params: ExtremalParams) -> Integrand:
     only and the first sum is empty; with no free coordinates the product
     runs over the tail blocks alone.
     """
-    gamma, eps = params.gamma, params.trunc
-    n = s.n
-    floor2 = eps * eps
-    tail = [(np.array([i - 1 for i in a.support()], dtype=int), a.weight)
-            for a in s.alphas[1:]]
-    singles = np.array([i - 1 for i in s.r_mask.support()], dtype=int)
-
-    def ev(pts: np.ndarray) -> np.ndarray:
-        prod = np.ones(len(pts))
-        sums = np.zeros(len(pts))
-        for cols, w in tail:
-            r2 = (pts[:, cols] ** 2).sum(axis=1)
-            prod = prod * np.maximum(np.sqrt(r2), eps) ** (-gamma * w)
-            sums += np.maximum(1.0 - r2, floor2) ** (-gamma * (n - w) / 2.0)
-        if singles.size:
-            x = pts[:, singles]
-            prod = prod * np.prod(np.maximum(np.abs(x), eps) ** (-gamma), axis=1)
-            sums += (np.maximum(1.0 - x * x, floor2) ** (-gamma * (n - 1) / 2.0)).sum(axis=1)
-        return prod + sums
-
-    return Integrand(n=n, eval=ev, symmetry_tag=s)
+    kernel = _extremal_kernel(s, params.gamma, [params.trunc])
+    return Integrand(n=s.n, eval=lambda pts: kernel(pts)[0], symmetry_tag=s)
 
 
 def radial_oracle(t: BalancedType, gamma) -> float | Fraction:
@@ -291,11 +318,8 @@ def norm_boundary_scan(s: Symmetry, gamma: float, p: float,
     where ||f_eps||_p^p is fitted against log(1/eps) ("log" model).
     """
     eps_grid = sorted((float(e) for e in eps_grid), reverse=True)
-    raw: list[Estimate] = []
-    for eps in eps_grid:
-        f = extremal_function(s, ExtremalParams(gamma=gamma, trunc=eps))
-        raw.append(mc_sphere_estimates(
-            s.n, cfg, lambda pts, f=f: f.eval(pts)[None, :] ** p, 1)[0])
+    kernel = _extremal_kernel(s, gamma, eps_grid)
+    raw = mc_sphere_estimates(s.n, cfg, lambda pts: kernel(pts) ** p, len(eps_grid))
 
     log_case = abs(gamma * p - 1.0) < 1e-12
     if log_case:
@@ -400,22 +424,19 @@ def sharpness_experiment(t: BalancedType, p: float, cfg: QuadConfig,
         raise ValueError("need at least 3 grid points")
 
     fams = enumerate_symmetries(t, cap=cap)
-    lhs: list[Estimate] = []
-    norms: list[tuple[Estimate, ...]] = []
-    for eps in eps_grid:
-        fs = [extremal_function(s, ExtremalParams(gamma=g, trunc=eps))
-              for s in fams]
+    kernels = [_extremal_kernel(s, g, eps_grid) for s in fams]
+    ps = [p] * len(fams)
+    width = 1 + len(fams)
 
-        def batch(pts: np.ndarray, fs=fs) -> np.ndarray:
-            vals = [f.eval(pts) for f in fs]
-            prod = vals[0].copy()
-            for v in vals[1:]:
-                prod = prod * v
-            return np.stack([prod] + [v**p for v in vals])
+    def batch(pts: np.ndarray) -> np.ndarray:
+        out = np.empty((len(eps_grid), width, len(pts)))
+        _product_and_powers((k(pts) for k in kernels), ps, out)
+        return out.reshape(-1, len(pts))
 
-        ests = mc_sphere_estimates(t.n, cfg, batch, 1 + len(fams))
-        lhs.append(ests[0])
-        norms.append(tuple(_power_transform(e, p) for e in ests[1:]))
+    ests = mc_sphere_estimates(t.n, cfg, batch, len(eps_grid) * width)
+    lhs = [ests[k * width] for k in range(len(eps_grid))]
+    norms = [tuple(_power_transform(e, p) for e in ests[k * width + 1:(k + 1) * width])
+             for k in range(len(eps_grid))]
 
     last, prev = norms[-1], norms[-2]
     rel_change = max(
@@ -491,17 +512,19 @@ def local_growth_experiment(fams: Sequence[Symmetry], exps: Sequence[int],
     elif len(profiles) != len(fams):
         raise ValueError("one profile per family member required")
 
+    # one draw of the unit ball serves every radius: the points of the ball
+    # of radius R are R times those of the unit ball, and so are their
+    # projection radii (exact for dyadic R)
     def batch(pts: np.ndarray) -> np.ndarray:
-        out = np.ones(len(pts))
+        out = np.ones((len(r_grid), len(pts)))
         for cols, prof in zip(free_cols, profiles):
-            if cols.size:
-                r = np.sqrt((pts[:, cols] ** 2).sum(axis=1))
-            else:
-                r = np.zeros(len(pts))
-            out = out * prof(r)
-        return out[None, :]
+            r = np.sqrt((pts[:, cols] ** 2).sum(axis=1)) if cols.size else np.zeros(len(pts))
+            for row, radius in zip(out, r_grid):
+                row *= prof(radius * r)
+        return out
 
-    lhs = [mc_ball_estimates(n, radius, cfg, batch, 1)[0] for radius in r_grid]
+    lhs = mc_ball_estimates(n, 1.0, cfg, batch, len(r_grid),
+                            volumes=[ball_volume(n, radius) for radius in r_grid])
 
     tail = max(3, int(math.ceil(len(r_grid) * GROWTH_FIT_TAIL)))
     xs = np.log(np.array(r_grid[-tail:]))

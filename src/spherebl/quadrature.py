@@ -1,17 +1,29 @@
 """Seeded Monte Carlo integration on spheres and balls.
 
 Points on the sphere are normalized standard Gaussian vectors, which are
-exactly uniform in every dimension.  Work is split into shards; shard k
-draws from its own counter-based stream (numpy Philox keyed by
-(seed, k)), and partial sums are combined in shard order, so a result is
-a pure function of (seed, samples, shards) regardless of how many worker
-threads ran the shards.  The reproducibility contract is exactly that
-triple together with the generator name in :data:`RNG_ALGORITHM`; bit
-equality across different numpy builds is not promised.
+exactly uniform in every dimension.  Points in a ball are such a direction
+times radius * U^(1/dim), with the radii U drawn from a sibling stream so
+that the points do not depend on how a shard is cut into chunks.  Work is
+split into shards; shard k draws from its own counter-based stream (numpy
+Philox keyed by (seed, k), and (seed, k, 1) for ball radii), and partial
+results are combined in shard order, so a result is a pure function of
+(seed, samples, shards) regardless of how many worker threads ran the
+shards.  The reproducibility contract is exactly that triple together with
+the generator name in :data:`RNG_ALGORITHM`; bit equality across different
+numpy builds is not promised.
+
+One estimator pass evaluates any number of value series on one shared
+stream of points; the experiments put every grid point and repetition into
+a single pass this way.  The chunk a pass evaluates at a time shrinks with
+the number of series (:data:`_CHUNK_BUDGET`), so the last bit of a sum can
+depend on the series count, never the points themselves.
 
 Estimates carry the plain MC standard error (sample standard deviation /
-sqrt(samples)).  Plain MC is used deliberately: unbiasedness is what makes
-3-sigma acceptance bands meaningful for the verification experiments.
+sqrt(samples)).  The variance is merged from per-chunk (count, sum, sum of
+squared deviations) in a fixed order, after Chan, Golub and LeVeque (1979),
+so a large mean does not cancel the spread away.  Plain MC is used
+deliberately: unbiasedness is what makes 3-sigma acceptance bands
+meaningful for the verification experiments.
 """
 
 from __future__ import annotations
@@ -19,8 +31,8 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,7 +43,14 @@ from .symmetry import Symmetry
 RNG_ALGORITHM = "numpy-philox4x64"
 
 #: Soft bound on floats held per evaluation chunk (values plus points).
-_CHUNK_BUDGET = 4_000_000
+#: Measured: 10^6 runs the 91-series Hoelder check faster than 4 * 10^6
+#: (smaller chunks stay in cache) at less than half the peak memory.
+_CHUNK_BUDGET = 1_000_000
+
+#: Shard count of a :class:`QuadConfig` that does not set one.  A constant,
+#: so such a config gives the same numbers on every machine; the number of
+#: worker threads still follows the machine.
+DEFAULT_SHARDS = 8
 
 _WORKERS_ENV = "SPHEREBL_WORKERS"
 
@@ -42,7 +61,7 @@ class QuadConfig:
 
     samples: int = 1_000_000
     seed: int = 0
-    shards: int = field(default_factory=lambda: os.cpu_count() or 1)
+    shards: int = DEFAULT_SHARDS
 
     def __post_init__(self):
         if self.samples < 100:
@@ -116,8 +135,8 @@ def _shard_counts(samples: int, shards: int) -> list[int]:
     return [base + (1 if k < extra else 0) for k in range(shards)]
 
 
-def _shard_rng(seed: int, shard: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(shard,))
+def _shard_rng(seed: int, *key: int) -> np.random.Generator:
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -131,68 +150,111 @@ def _sphere_chunk(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     return g / norms[:, None]
 
 
-def _ball_chunk(rng: np.random.Generator, m: int, dim: int, radius: float) -> np.ndarray:
-    # uniform in the ball: uniform direction times radius * U^(1/dim)
+def _ball_chunk(rng: np.random.Generator, urng: np.random.Generator, m: int,
+                dim: int, radius: float) -> np.ndarray:
+    # uniform in the ball: uniform direction times radius * U^(1/dim); the
+    # directions and the radii come from separate streams, so the points do
+    # not depend on the chunk size
     g = rng.standard_normal((m, dim))
     norms = np.sqrt((g * g).sum(axis=1))
-    u = rng.random(m)
+    u = urng.random(m)
     scale = radius * u ** (1.0 / dim) / norms
     return g * scale[:, None]
 
 
-def _run_shard(sampler, count: int, chunk: int, batch_eval, num_series: int):
-    s1 = np.zeros(num_series)
-    s2 = np.zeros(num_series)
-    left = count
-    while left > 0:
-        m = min(left, chunk)
-        vals = np.asarray(batch_eval(sampler(m)), dtype=float)
+def _sphere_sampler(seed: int, n: int):
+    def make_sampler(shard: int):
+        rng = _shard_rng(seed, shard)
+        return lambda m: _sphere_chunk(rng, m, n)
+    return make_sampler
+
+
+def _shard_streams(cfg: QuadConfig, make_sampler, chunk: int) -> Iterator[Iterator[np.ndarray]]:
+    """The point chunks of every shard holding samples, in shard order.
+
+    ``make_sampler(shard)`` returns a closure drawing m points of that
+    shard's stream; each shard's chunks are drawn lazily, by whoever
+    iterates them.
+    """
+
+    def chunks(sampler, count: int) -> Iterator[np.ndarray]:
+        left = count
+        while left > 0:
+            m = min(left, chunk)
+            yield sampler(m)
+            left -= m
+
+    for shard, count in enumerate(_shard_counts(cfg.samples, cfg.shards)):
+        if count:
+            yield chunks(make_sampler(shard), count)
+
+
+def _merge(a, b):
+    """Combine the (count, sums, M2) of two sample blocks, M2 being the sums
+    of squared deviations from the block means (Chan, Golub & LeVeque)."""
+    na, sa, qa = a
+    nb, sb, qb = b
+    if na == 0:
+        return b
+    n = na + nb
+    delta = sb / nb - sa / na
+    return n, sa + sb, qa + qb + delta * delta * (na * nb / n)
+
+
+def _run_shard(points: Iterable[np.ndarray], batch_eval, num_series: int):
+    acc = (0, np.zeros(num_series), np.zeros(num_series))
+    for pts in points:
+        m = len(pts)
+        vals = np.asarray(batch_eval(pts), dtype=float)
         if vals.shape != (num_series, m):
             vals = vals.reshape(num_series, m)
-        if not np.isfinite(vals).all():
+        sums = vals.sum(axis=1)
+        # a NaN or infinity anywhere in a row makes that row's sum non-finite
+        if not np.isfinite(sums).all():
             raise NonFiniteSampleError(
                 "integrand returned a non-finite value; truncate the singularity")
-        s1 += vals.sum(axis=1)
-        s2 += (vals * vals).sum(axis=1)
-        left -= m
-    return s1, s2
+        m2 = np.empty(num_series)
+        for i, (row, mean) in enumerate(zip(vals, sums / m)):
+            dev = row - mean
+            dev *= dev
+            m2[i] = dev.sum()
+        acc = _merge(acc, (m, sums, m2))
+    return acc
 
 
 def _mc_estimates(cfg: QuadConfig, dim: int, make_sampler, batch_eval,
-                  num_series: int, scale: float = 1.0) -> list[Estimate]:
-    """Shared engine: mean of each value series times ``scale``.
+                  num_series: int,
+                  scales: Sequence[float] | None = None) -> list[Estimate]:
+    """Shared engine: mean of each value series times its scale (1 when
+    ``scales`` is None).
 
-    ``make_sampler(shard)`` returns a closure drawing points for that
-    shard.  Shard partials are reduced in index order for determinism.
+    Shard partials are reduced in index order for determinism; the value is
+    the ordered sum over all samples divided by their count.
     """
-    counts = _shard_counts(cfg.samples, cfg.shards)
-    chunk = _chunk_size(dim, num_series)
+    streams = list(_shard_streams(cfg, make_sampler, _chunk_size(dim, num_series)))
 
-    def job(shard: int):
-        sampler = make_sampler(shard)
-        return _run_shard(sampler, counts[shard], chunk, batch_eval, num_series)
+    def job(points):
+        return _run_shard(points, batch_eval, num_series)
 
-    active = [k for k in range(cfg.shards) if counts[k] > 0]
-    workers = _worker_count(len(active))
+    workers = _worker_count(len(streams))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(job, active))
+            partials = list(pool.map(job, streams))
     else:
-        partials = [job(k) for k in active]
+        partials = [job(points) for points in streams]
 
-    s1 = np.zeros(num_series)
-    s2 = np.zeros(num_series)
-    for p1, p2 in partials:  # fixed order: active shards ascending
-        s1 += p1
-        s2 += p2
+    acc = (0, np.zeros(num_series), np.zeros(num_series))
+    for part in partials:  # fixed order: active shards ascending
+        acc = _merge(acc, part)
+    _, s1, m2 = acc
 
     m = cfg.samples
     out = []
     for i in range(num_series):
-        mean = float(s1[i]) / m
-        var = max(0.0, (float(s2[i]) - float(s1[i]) * float(s1[i]) / m) / (m - 1))
+        scale = 1.0 if scales is None else scales[i]
+        var = float(m2[i]) / (m - 1)
         out.append(Estimate(
-            value=mean * scale,
+            value=float(s1[i]) / m * scale,
             stderr=math.sqrt(var / m) * abs(scale),
             samples=m,
             seed=cfg.seed,
@@ -210,12 +272,7 @@ def mc_sphere_estimates(n: int, cfg: QuadConfig, batch_eval,
     """
     if n < 2:
         raise ValueError("sphere sampling needs dimension >= 2")
-
-    def make_sampler(shard: int):
-        rng = _shard_rng(cfg.seed, shard)
-        return lambda m: _sphere_chunk(rng, m, n)
-
-    return _mc_estimates(cfg, n, make_sampler, batch_eval, num_series)
+    return _mc_estimates(cfg, n, _sphere_sampler(cfg.seed, n), batch_eval, num_series)
 
 
 def ball_volume(dim: int, radius: float = 1.0) -> float:
@@ -223,19 +280,29 @@ def ball_volume(dim: int, radius: float = 1.0) -> float:
 
 
 def mc_ball_estimates(dim: int, radius: float, cfg: QuadConfig, batch_eval,
-                      num_series: int) -> list[Estimate]:
+                      num_series: int,
+                      volumes: Sequence[float] | None = None) -> list[Estimate]:
     """Like :func:`mc_sphere_estimates` but uniform over the ball of the
     given radius, scaled by its volume (so the estimate targets the plain
-    Lebesgue integral)."""
+    Lebesgue integral).
+
+    ``volumes`` gives each series its own volume factor instead: a batch
+    that evaluates series i at R_i times the points of the unit ball, with
+    ``volumes[i] = ball_volume(dim, R_i)``, estimates the integral over the
+    ball of radius R_i for every i from one draw.
+    """
     if dim < 1:
         raise ValueError("ball sampling needs dimension >= 1")
+    if volumes is None:
+        volumes = [ball_volume(dim, radius)] * num_series
 
     def make_sampler(shard: int):
         rng = _shard_rng(cfg.seed, shard)
-        return lambda m: _ball_chunk(rng, m, dim, radius)
+        urng = _shard_rng(cfg.seed, shard, 1)
+        return lambda m: _ball_chunk(rng, urng, m, dim, radius)
 
     return _mc_estimates(cfg, dim, make_sampler, batch_eval, num_series,
-                         scale=ball_volume(dim, radius))
+                         scales=volumes)
 
 
 def sample_sphere(n: int, cfg: QuadConfig) -> Iterator[np.ndarray]:
@@ -243,14 +310,8 @@ def sample_sphere(n: int, cfg: QuadConfig) -> Iterator[np.ndarray]:
     vectors, exactly the points the estimators consume."""
     if n < 2:
         raise ValueError("sphere sampling needs dimension >= 2")
-    chunk = _chunk_size(n, 1)
-    for shard, count in enumerate(_shard_counts(cfg.samples, cfg.shards)):
-        rng = _shard_rng(cfg.seed, shard)
-        left = count
-        while left > 0:
-            m = min(left, chunk)
-            yield _sphere_chunk(rng, m, n)
-            left -= m
+    for points in _shard_streams(cfg, _sphere_sampler(cfg.seed, n), _chunk_size(n, 1)):
+        yield from points
 
 
 def integrate_sphere(f: Integrand, cfg: QuadConfig) -> Estimate:
@@ -375,21 +436,21 @@ def _rel(est: Estimate) -> float:
     return est.stderr / abs(est.value) if est.value else 0.0
 
 
-def holder_record(fs: Sequence[Integrand], ps: Sequence[float], cfg: QuadConfig,
-                  flags: Sequence[str] = ()) -> VerificationRecord:
-    """Estimate both sides of the product inequality on one sample stream."""
-    n = fs[0].n
-    ps = [float(p) for p in ps]
+def _product_and_powers(vals: Iterable[np.ndarray], ps: Sequence[float],
+                        out: np.ndarray) -> None:
+    """Write the series of one product-versus-norms check into ``out``:
+    the product of the value arrays into ``out[..., 0, :]`` and the p_j-th
+    power of the j-th into ``out[..., 1 + j, :]``."""
+    for j, (v, p) in enumerate(zip(vals, ps)):
+        if j == 0:
+            out[..., 0, :] = v
+        else:
+            out[..., 0, :] *= v
+        out[..., 1 + j, :] = v**p
 
-    def batch(pts: np.ndarray) -> np.ndarray:
-        vals = [np.asarray(f.eval(pts), dtype=float) for f in fs]
-        prod = vals[0].copy()
-        for v in vals[1:]:
-            prod = prod * v
-        rows = [prod] + [v**p for v, p in zip(vals, ps)]
-        return np.stack(rows)
 
-    ests = mc_sphere_estimates(n, cfg, batch, 1 + len(fs))
+def _holder_record(ests: Sequence[Estimate], ps: list[float],
+                   flags: Sequence[str]) -> VerificationRecord:
     lhs = ests[0]
     norms = tuple(_power_transform(e, p) for e, p in zip(ests[1:], ps))
     rhs = math.prod(e.value for e in norms)
@@ -419,21 +480,46 @@ def holder_verify(fams: Sequence[Symmetry], fs: Sequence[Integrand],
     per-function exponent of the family, below which the inequality has no
     guarantee.
     """
-    if not (len(fams) == len(fs) == len(ps)):
-        raise ValueError("fams, fs and ps must have equal lengths")
+    return holder_verify_sets(fams, [fs], ps, cfg)[0]
+
+
+def holder_verify_sets(fams: Sequence[Symmetry], fs_sets: Sequence[Sequence[Integrand]],
+                       ps: Sequence[float], cfg: QuadConfig) -> list[VerificationRecord]:
+    """:func:`holder_verify` for several function sets of one family.
+
+    Both sides of every check come from one sample stream: set k adds the
+    product and the p-th powers of its functions as 1 + len(ps) series of
+    a single estimator pass.
+    """
     exps = per_function_exponents(fams)
-    flags = []
-    for j, (s, f, p) in enumerate(zip(fams, fs, ps)):
-        if f.n != s.n:
-            raise ValueError(f"integrand {j} has dimension {f.n}, family has {s.n}")
-        if f.symmetry_tag is None:
-            flags.append(f"integrand {j} untagged: symmetry and evenness not checked")
-        elif f.symmetry_tag != s:
-            raise ValueError(f"integrand {j} is tagged with a different symmetry")
-        if p < exps[j] - 1e-12:
-            raise ValueError(
-                f"p[{j}] = {p} is below the sharp exponent {exps[j]}")
-    return holder_record(fs, ps, cfg, flags)
+    if len(ps) != len(fams) or any(len(fs) != len(fams) for fs in fs_sets):
+        raise ValueError("fams, fs and ps must have equal lengths")
+    ps = [float(p) for p in ps]
+    for j, (p, e) in enumerate(zip(ps, exps)):
+        if p < e - 1e-12:
+            raise ValueError(f"p[{j}] = {p} is below the sharp exponent {e}")
+    for fs in fs_sets:
+        for j, (s, f) in enumerate(zip(fams, fs)):
+            if f.n != s.n:
+                raise ValueError(f"integrand {j} has dimension {f.n}, family has {s.n}")
+            if f.symmetry_tag is not None and f.symmetry_tag != s:
+                raise ValueError(f"integrand {j} is tagged with a different symmetry")
+    flags = [[f"integrand {j} untagged: symmetry and evenness not checked"
+              for j, f in enumerate(fs) if f.symmetry_tag is None]
+             for fs in fs_sets]
+
+    width = 1 + len(ps)
+
+    def batch(pts: np.ndarray) -> np.ndarray:
+        out = np.empty((len(fs_sets), width, len(pts)))
+        for fs, rows in zip(fs_sets, out):
+            _product_and_powers((np.asarray(f.eval(pts), dtype=float) for f in fs),
+                                ps, rows)
+        return out.reshape(-1, len(pts))
+
+    ests = mc_sphere_estimates(fams[0].n, cfg, batch, len(fs_sets) * width)
+    return [_holder_record(ests[k * width:(k + 1) * width], ps, flags[k])
+            for k in range(len(fs_sets))]
 
 
 def block_rotation_residual(f: Integrand, cfg: QuadConfig | None = None,

@@ -133,6 +133,18 @@ class TestVerifyHolder:
         b = second["results"]["records"][0]["lhs"]["value"]
         assert a != b
 
+    def test_family_above_cap_is_input_error(self, tmp_path, capsys):
+        path = write(tmp_path, "s.json", {"type": {"n": 30, "lengths": [2, 2, 2]}})
+        assert main(["verify-holder", path]) == 1
+        assert "type: family has" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("quad", [{"samples": 1e3}, {"seed": True},
+                                      {"shards": "2"}])
+    def test_non_integer_quad_fields_are_input_errors(self, tmp_path, capsys, quad):
+        path = self.scenario(tmp_path, quad=quad)
+        assert main(["verify-holder", path]) == 1
+        assert f"quad.{next(iter(quad))}: integer required" in capsys.readouterr().err
+
     def test_deterministic_rerun(self, tmp_path, capsys):
         path = self.scenario(tmp_path)
         main(["verify-holder", path, "--json"])
@@ -186,6 +198,13 @@ class TestVerifyLocal:
         assert len(lines) == 12
         rep = record["results"]["report"]
         assert rep["delta_target"] == {"num": 3, "den": 2}
+
+
+    def test_three_point_grid_is_input_error(self, tmp_path, capsys):
+        payload = {"type": {"n": 3, "lengths": [2]}, "r_grid": [1.0, 2.0, 4.0],
+                   "quad": {"samples": 1000, "seed": 1, "shards": 1}}
+        assert main(["verify-local", write(tmp_path, "s.json", payload)]) == 1
+        assert "r_grid" in capsys.readouterr().err
 
 
 class TestRunAndRecord:

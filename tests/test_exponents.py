@@ -10,6 +10,7 @@ from spherebl import (
     EdgeSet,
     ExponentReport,
     NonPositiveDeltaError,
+    Symmetry,
     all_balanced_types,
     balanced_exponent,
     balanced_local_delta,
@@ -220,6 +221,16 @@ class TestReports:
         assert rep.j_count == 2
         assert rep.overcount == 1
         assert all(p <= rep.p_uniform for p in rep.p_per_function)
+
+    def test_family_report_builds_each_edge_set_once(self, monkeypatch):
+        fams = enumerate_symmetries(BalancedType(5, (2, 2)))
+        built = []
+        edges = Symmetry.edges
+        monkeypatch.setattr(Symmetry, "edges", lambda s: built.append(s) or edges(s))
+        rep = report_for_family(fams)
+        assert len(built) == len(fams)
+        assert rep.p_uniform == uniform_exponent(fams)
+        assert list(rep.p_per_function) == per_function_exponents(fams)
 
     def test_report_round_trip(self):
         rep = report_for_type(BalancedType(5, (3, 2)))

@@ -14,6 +14,7 @@ from spherebl import (
     QuadConfig,
     balanced_exponent,
     bump_profile,
+    capped_power_profile,
     critical_gamma,
     decompose,
     default_eps_grid,
@@ -23,12 +24,16 @@ from spherebl import (
     fit_line,
     integrate_sphere,
     local_growth_experiment,
+    mc_ball_estimates,
+    mc_sphere_estimates,
     norm_boundary_scan,
     per_function_exponents,
     radial_oracle,
+    sample_sphere,
     sharpness_experiment,
     truncated_norm_slope_prediction,
 )
+from spherebl.quadrature import _power_transform
 from oracles import truncated_extremal_norm_p
 
 CFG = QuadConfig(samples=200_000, seed=314, shards=4)
@@ -270,3 +275,94 @@ def test_default_grids():
     assert eps[0] == 0.125 and eps[-1] == 2.0 ** -20 and len(eps) == 18
     rs = default_r_grid()
     assert rs[0] == 1.0 and rs[-1] == 1024.0 and len(rs) == 11
+
+
+def _reference_extremal(s, gamma, eps, pts):
+    """The extremal integrand evaluated one floor at a time, term by term."""
+    n = s.n
+    prod = np.ones(len(pts))
+    sums = np.zeros(len(pts))
+    for a in s.alphas[1:]:
+        r2 = (pts[:, [i - 1 for i in a.support()]] ** 2).sum(axis=1)
+        prod = prod * np.maximum(np.sqrt(r2), eps) ** (-gamma * a.weight)
+        sums += np.maximum(1.0 - r2, eps * eps) ** (-gamma * (n - a.weight) / 2.0)
+    singles = [i - 1 for i in s.r_mask.support()]
+    if singles:
+        x = pts[:, singles]
+        prod = prod * np.prod(np.maximum(np.abs(x), eps) ** (-gamma), axis=1)
+        sums += (np.maximum(1.0 - x * x, eps * eps) ** (-gamma * (n - 1) / 2.0)).sum(axis=1)
+    return prod + sums
+
+
+# every shard is one chunk of every pass below, so sums are taken over the
+# same points in the same order whatever the number of series
+FUSED_CFG = QuadConfig(samples=40_000, seed=61, shards=4)
+FUSED_GRID = [2.0 ** -k for k in range(3, 21)]
+
+
+class TestFusedGrids:
+    def test_kernel_matches_reference(self):
+        pts = next(iter(sample_sphere(5, QuadConfig(samples=2000, seed=3, shards=1))))
+        pts[:5, 4] = [0.0, 1e-7, -1e-3, 0.02, -0.3]  # inside the floors
+        for edges in ([(1, 2), (3, 4)], [(1, 2)], [(1, 2), (1, 3), (2, 3), (4, 5)]):
+            s = decompose(EdgeSet.of(5, edges))
+            for eps in (2.0 ** -3, 2.0 ** -10, 2.0 ** -20):
+                f = extremal_function(s, ExtremalParams(gamma=0.3, trunc=eps))
+                assert np.array_equal(f.eval(pts), _reference_extremal(s, 0.3, eps, pts))
+
+    def test_sharpness_series_equal_per_eps_passes(self):
+        t = BalancedType(3, (2,))
+        rep = sharpness_experiment(t, p=1.8, cfg=FUSED_CFG, eps_grid=FUSED_GRID,
+                                   gamma=0.5)
+        fams = enumerate_symmetries(t)
+        for k, eps in enumerate(FUSED_GRID):
+            fs = [extremal_function(s, ExtremalParams(gamma=0.5, trunc=eps)) for s in fams]
+
+            def batch(pts, fs=fs):
+                vals = [f.eval(pts) for f in fs]
+                return np.stack([vals[0] * vals[1] * vals[2]] + [v ** 1.8 for v in vals])
+
+            ests = mc_sphere_estimates(3, FUSED_CFG, batch, 4)
+            assert rep.lhs[k] == ests[0]
+            assert rep.rhs_norms[k] == tuple(_power_transform(e, 1.8) for e in ests[1:])
+
+    def test_norm_scan_series_equal_per_eps_passes(self):
+        s = decompose(EdgeSet.of(3, [(1, 2)]))
+        rep = norm_boundary_scan(s, gamma=0.75, p=2.0, eps_grid=FUSED_GRID, cfg=FUSED_CFG)
+        for k, eps in enumerate(FUSED_GRID):
+            f = extremal_function(s, ExtremalParams(gamma=0.75, trunc=eps))
+            ref = mc_sphere_estimates(3, FUSED_CFG, lambda pts: f.eval(pts)[None, :] ** 2.0, 1)
+            assert rep.lhs[k] == ref[0]
+
+    def test_local_growth_series_equal_per_radius_passes(self):
+        fams = enumerate_symmetries(BalancedType(3, (2,)))
+        exps = per_function_exponents(fams)
+        grid = [2.0 ** k for k in range(0, 6)]
+        cfg = QuadConfig(samples=20_000, seed=9, shards=2)
+        rep = local_growth_experiment(fams, exps, eta=0.1, r_grid=grid, cfg=cfg)
+        profiles = [capped_power_profile(se) for se in rep.profile_exponents]
+        free = [[i - 1 for i in s.alphas[0].complement().support()] for s in fams]
+
+        def batch(pts):
+            out = np.ones(len(pts))
+            for cols, prof in zip(free, profiles):
+                out = out * prof(np.sqrt((pts[:, cols] ** 2).sum(axis=1)))
+            return out[None, :]
+
+        for k, radius in enumerate(grid):
+            ref = mc_ball_estimates(3, radius, cfg, batch, 1)[0]
+            assert rep.lhs[k] == ref
+
+    def test_worker_width_does_not_change_fused_runs(self, monkeypatch):
+        t = BalancedType(3, (2,))
+        fams = enumerate_symmetries(t)
+        exps = per_function_exponents(fams)
+        runs = []
+        for width in ("1", "2"):
+            monkeypatch.setenv("SPHEREBL_WORKERS", width)
+            runs.append((
+                sharpness_experiment(t, p=1.8, cfg=CFG, eps_grid=FUSED_GRID, gamma=0.5),
+                norm_boundary_scan(fams[0], gamma=0.75, p=2.0, eps_grid=FUSED_GRID, cfg=CFG),
+                local_growth_experiment(fams, exps, eta=0.1, r_grid=default_r_grid(), cfg=CFG),
+            ))
+        assert runs[0] == runs[1]

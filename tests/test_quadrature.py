@@ -1,8 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from spherebl import quadrature
 from spherebl import (
     BalancedType,
     EdgeSet,
@@ -18,6 +20,7 @@ from spherebl import (
     decompose,
     enumerate_symmetries,
     holder_verify,
+    holder_verify_sets,
     integrate_sphere,
     lp_norm_sphere,
     mc_ball_estimates,
@@ -82,6 +85,12 @@ class TestDeterminism:
         threaded = integrate_sphere(f, CFG)
         assert serial == threaded
 
+    def test_default_shards_do_not_follow_the_machine(self, monkeypatch):
+        default = QuadConfig().shards
+        for cpus in (1, 3, 64, None):
+            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+            assert QuadConfig().shards == default
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             QuadConfig(samples=50, seed=0, shards=1)
@@ -95,6 +104,14 @@ class TestIntegrate:
     def test_constant(self):
         est = integrate_sphere(constant_integrand(5, 1.0), CFG)
         assert est.value == 1.0 and est.stderr == 0.0
+
+    def test_large_mean_keeps_its_spread(self):
+        # s2 - s1^2/m cancels to 0 here; merged deviations keep the spread
+        cfg = QuadConfig(samples=1_000_000, seed=1, shards=4)
+        plain = integrate_sphere(coordinate_square_integrand(3, 1), cfg)
+        shifted = integrate_sphere(coordinate_square_integrand(3, 1, offset=1e8), cfg)
+        assert plain.stderr == pytest.approx(2.98e-4, rel=0.01)
+        assert shifted.stderr == pytest.approx(plain.stderr, rel=0.01)
 
     def test_non_finite_rejected(self):
         bad = Integrand(3, lambda p: np.where(p[:, 0] < 2, np.inf, 1.0))
@@ -253,6 +270,13 @@ class TestHolder:
         rec = holder_verify(fams, fs, [2.0] * 3, CFG)
         assert rec.flags
 
+    def test_sets_share_one_pass(self):
+        fams = enumerate_symmetries(BalancedType(3, (2,)))
+        sets = [[random_block_invariant(s, seed=10 * k + j) for j, s in enumerate(fams)]
+                for k in range(3)]
+        fused = holder_verify_sets(fams, sets, [2.0] * 3, CFG)
+        assert fused == [holder_verify(fams, fs, [2.0] * 3, CFG) for fs in sets]
+
     def test_record_round_trip(self):
         from spherebl import VerificationRecord
         fams = enumerate_symmetries(BalancedType(3, (2,)))
@@ -281,6 +305,20 @@ class TestBallSampling:
             d, 1.0, CFG, lambda y: (y * y).sum(axis=1)[None, :], 1)[0]
         target = ball_volume(d) * d / (d + 2)
         assert within(est, target)
+
+    def test_points_do_not_depend_on_the_chunk_size(self, monkeypatch):
+        # integer values sum exactly in any order, so equal values mean equal
+        # points; the merged deviations may still differ in the last bits
+        def run():
+            return mc_ball_estimates(3, 2.0, CFG, lambda y: np.floor(64 * y).T, 3)
+
+        reference = run()
+        for budget in (1, 20_000, 100_003):  # 1024-point chunks and others
+            monkeypatch.setattr(quadrature, "_CHUNK_BUDGET", budget)
+            ests = run()
+            assert [e.value for e in ests] == [e.value for e in reference]
+            for e, ref in zip(ests, reference):
+                assert e.stderr == pytest.approx(ref.stderr, rel=1e-12)
 
     def test_radius_scaling(self):
         est = mc_ball_estimates(2, 2.0, CFG, lambda y: np.ones(len(y))[None, :], 1)[0]
