@@ -59,11 +59,13 @@ from .functions import (
     constant_integrand,
     coordinate_square_integrand,
     random_block_invariant,
+    random_block_invariants,
 )
 from .quadrature import (
     RNG_ALGORITHM,
     Estimate,
     Integrand,
+    IntegrandStack,
     QuadConfig,
     VerificationRecord,
     ball_reduced_integral,

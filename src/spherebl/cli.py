@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from typing import Any, Sequence
 
 from . import __version__
 from .enumeration import DEFAULT_CAP, canonical_classes, enumerate_symmetries
-from .errors import CapExceededError, InputError
+from .errors import CapExceededError, InputError, NonFiniteSampleError
 from .exponents import (
     BalancedType,
     balanced_types_upto,
@@ -35,9 +36,15 @@ from .extremal import (
     sharpness_experiment,
 )
 from .exponents import per_function_exponents
-from .functions import constant_integrand, random_block_invariant
+from .functions import constant_integrand, random_block_invariants
 from .extremal import ExtremalParams, extremal_function
-from .quadrature import RNG_ALGORITHM, QuadConfig, holder_verify_sets
+from .quadrature import (
+    _WORKERS_ENV,
+    RNG_ALGORITHM,
+    QuadConfig,
+    _worker_limit,
+    holder_verify_sets,
+)
 from .symmetry import EdgeSet, Symmetry, decompose, lie_closure
 
 MODES = ("decompose", "exponents", "enumerate", "identities",
@@ -85,6 +92,22 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise InputError(path, message)
 
 
+def _number(value: Any, path: str, integer: bool = False) -> float | int:
+    """A finite JSON number (an integer when ``integer``); strings, booleans
+    and non-finite values are input errors."""
+    kinds = int if integer else (int, float)
+    _require(isinstance(value, kinds) and not isinstance(value, bool), path,
+             "integer required" if integer else "number required")
+    if integer:
+        return value
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    _require(math.isfinite(value), path, "finite number required")
+    return value
+
+
 def _edge_set(data: Any, path: str) -> EdgeSet:
     _require(isinstance(data, dict), path, "expected an object with n and edges")
     _require(isinstance(data.get("n"), int), f"{path}.n", "integer dimension required")
@@ -110,8 +133,10 @@ def _edge_set(data: Any, path: str) -> EdgeSet:
 def _balanced_type(data: Any, path: str) -> BalancedType:
     _require(isinstance(data, dict), path, "expected an object with n and lengths")
     _require(isinstance(data.get("n"), int), f"{path}.n", "integer dimension required")
-    _require(isinstance(data.get("lengths"), list) and data["lengths"],
-             f"{path}.lengths", "nonempty list of block lengths required")
+    lengths = data.get("lengths")
+    _require(isinstance(lengths, list) and lengths
+             and all(isinstance(a, int) and not isinstance(a, bool) for a in lengths),
+             f"{path}.lengths", "nonempty list of integer block lengths required")
     try:
         return BalancedType(data["n"], tuple(data["lengths"]))
     except ValueError as exc:
@@ -133,18 +158,24 @@ def _quad_config(data: Any, path: str) -> QuadConfig:
         raise InputError(path, str(exc)) from exc
 
 
+#: Largest |exponent| of a dyadic grid: 2^k stays a normal float.
+_DYADIC_EXP = 1000
+
+
 def _grid(data: Any, path: str, default: list[float], decreasing: bool) -> list[float]:
     if data is None:
         return default
     if isinstance(data, list):
         _require(len(data) >= 3, path, "need at least 3 grid points")
-        vals = [float(v) for v in data]
+        vals = [_number(v, f"{path}[{k}]") for k, v in enumerate(data)]
         _require(all(v > 0 for v in vals), path, "grid values must be positive")
         return sorted(vals, reverse=decreasing)
     if isinstance(data, dict) and data.get("kind") == "dyadic":
         lo, hi = data.get("min_exp"), data.get("max_exp")
         _require(isinstance(lo, int) and isinstance(hi, int) and lo < hi,
                  path, "dyadic grid needs integer min_exp < max_exp")
+        _require(-_DYADIC_EXP <= lo and hi <= _DYADIC_EXP, path,
+                 f"dyadic exponents must lie in [-{_DYADIC_EXP}, {_DYADIC_EXP}]")
         if decreasing:
             return [2.0**-k for k in range(lo, hi + 1)]
         return [2.0**k for k in range(lo, hi + 1)]
@@ -260,17 +291,29 @@ def _holder_functions(fn_cfg: Any, fams: list[Symmetry], repetition: int,
              "expected an object with a 'kind'")
     kind = fn_cfg["kind"]
     if kind == "random-symmetric":
-        amplitude = float(fn_cfg.get("amplitude", 1.0))
-        base = int(fn_cfg.get("seed", fallback_seed)) + 977 * repetition
-        return [random_block_invariant(s, seed=base + 101 * j, amplitude=amplitude)
-                for j, s in enumerate(fams)]
+        amplitude = _number(fn_cfg.get("amplitude", 1.0), "functions.amplitude")
+        _require(amplitude >= 0, "functions.amplitude", "nonnegative number required")
+        seed = _number(fn_cfg.get("seed", fallback_seed), "functions.seed", integer=True)
+        _require(seed >= 0, "functions.seed", "nonnegative integer required")
+        base = seed + 977 * repetition
+        try:
+            return random_block_invariants(
+                fams, [base + 101 * j for j in range(len(fams))], amplitude)
+        except OverflowError as exc:  # a range [-amplitude, amplitude] too wide
+            raise InputError("functions.amplitude", str(exc)) from exc
     if kind == "extremal":
         _require("gamma" in fn_cfg and "trunc" in fn_cfg, "functions",
                  "extremal functions need gamma and trunc")
-        params = ExtremalParams(gamma=float(fn_cfg["gamma"]), trunc=float(fn_cfg["trunc"]))
+        gamma = _number(fn_cfg["gamma"], "functions.gamma")
+        trunc = _number(fn_cfg["trunc"], "functions.trunc")
+        try:
+            params = ExtremalParams(gamma=gamma, trunc=trunc)
+        except ValueError as exc:
+            raise InputError("functions", str(exc)) from exc
         return [extremal_function(s, params) for s in fams]
     if kind == "constant":
-        value = float(fn_cfg.get("value", 1.0))
+        value = _number(fn_cfg.get("value", 1.0), "functions.value")
+        _require(value >= 0, "functions.value", "nonnegative number required")
         return [constant_integrand(s.n, value, tag=s) for s in fams]
     raise InputError("functions.kind", f"unknown kind {kind!r}")
 
@@ -289,10 +332,9 @@ def _run_verify_holder(payload: dict) -> tuple[dict, bool | None]:
         ps = payload["ps"]
         _require(isinstance(ps, list) and len(ps) == len(fams), "ps",
                  f"expected {len(fams)} exponents")
-        ps = [float(p) for p in ps]
+        ps = [_number(p, f"ps[{j}]") for j, p in enumerate(ps)]
     else:
-        p = payload.get("p", max(exps))
-        ps = [float(p)] * len(fams)
+        ps = [_number(payload.get("p", max(exps)), "p")] * len(fams)
     count = payload.get("count", 1)
     _require(isinstance(count, int) and 1 <= count <= 1000, "count",
              "integer in [1, 1000] required")
@@ -303,6 +345,8 @@ def _run_verify_holder(payload: dict) -> tuple[dict, bool | None]:
         records = holder_verify_sets(fams, fs_sets, ps, quad)
     except ValueError as exc:
         raise InputError("ps", str(exc)) from exc
+    except NonFiniteSampleError as exc:
+        raise InputError("functions", f"{exc} (or its p-th power overflows)") from exc
     ok = all(r.passed for r in records)
     return {
         "type_label": type_label,
@@ -314,17 +358,18 @@ def _run_verify_holder(payload: dict) -> tuple[dict, bool | None]:
 def _run_verify_sharpness(payload: dict) -> tuple[dict, bool | None]:
     t = _balanced_type(payload.get("type"), "type")
     _require("p" in payload, "p", "exponent p required")
-    p = float(payload["p"])
+    p = _number(payload["p"], "p")
+    _require(p > 0, "p", "positive exponent required")
     quad = _quad_config(payload.get("quad"), "quad")
     eps_grid = _grid(payload.get("eps_grid"), "eps_grid", default_eps_grid(),
                      decreasing=True)
     gamma = payload.get("gamma")
+    if gamma is not None:
+        gamma = _number(gamma, "gamma")
     cap = _cap(payload)
     try:
-        report = sharpness_experiment(
-            t, p, quad, eps_grid=eps_grid,
-            gamma=None if gamma is None else float(gamma), cap=cap)
-    except (ValueError, CapExceededError) as exc:
+        report = sharpness_experiment(t, p, quad, eps_grid=eps_grid, gamma=gamma, cap=cap)
+    except (ValueError, OverflowError, CapExceededError, NonFiniteSampleError) as exc:
         raise InputError("input", str(exc)) from exc
     return {"report": report.to_dict(), "type": t.to_dict()}, report.passed
 
@@ -336,21 +381,25 @@ def _run_verify_local(payload: dict) -> tuple[dict, bool | None]:
     else:
         fams = _family_from_payload(payload)
     exps = per_function_exponents(fams)
-    eta = float(payload.get("eta", 0.1))
+    eta = _number(payload.get("eta", 0.1), "eta")
     _require(eta > 0, "eta", "positive eta required")
     quad = _quad_config(payload.get("quad"), "quad")
     r_grid = _grid(payload.get("r_grid"), "r_grid", default_r_grid(),
                    decreasing=False)
-    try:
-        report = local_growth_experiment(fams, exps, eta, r_grid, quad)
-    except ValueError as exc:
-        raise InputError("r_grid", str(exc)) from exc
-    # the growth bound caps the admissible slope at delta
-    passed = report.fitted_slope <= float(report.delta_target) + 3 * report.slope_stderr
     window = payload.get("slope_window")
     if window is not None:
         _require(isinstance(window, list) and len(window) == 2, "slope_window",
                  "expected [lo, hi]")
+        window = [_number(w, f"slope_window[{k}]") for k, w in enumerate(window)]
+    try:
+        report = local_growth_experiment(fams, exps, eta, r_grid, quad)
+    except (ValueError, OverflowError) as exc:
+        raise InputError("r_grid", str(exc)) from exc
+    except NonFiniteSampleError as exc:
+        raise InputError("input", str(exc)) from exc
+    # the growth bound caps the admissible slope at delta
+    passed = report.fitted_slope <= float(report.delta_target) + 3 * report.slope_stderr
+    if window is not None:
         passed = passed and window[0] <= report.fitted_slope <= window[1]
     return {"report": report.to_dict(), "passed": passed}, passed
 
@@ -370,6 +419,8 @@ def run(scenario: Scenario) -> RunRecord:
     """Dispatch a validated scenario and wrap the results."""
     if scenario.mode not in _HANDLERS:
         raise InputError("mode", f"unknown mode {scenario.mode!r}")
+    if scenario.mode != "exponents":  # the one mode that also takes a list
+        _require(isinstance(scenario.payload, dict), "scenario", "expected a JSON object")
     start = time.perf_counter()
     results, passed = _HANDLERS[scenario.mode](scenario.payload)
     return RunRecord(
@@ -495,14 +546,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        try:
+            _worker_limit()
+        except ValueError as exc:
+            raise InputError(_WORKERS_ENV, str(exc)) from exc
         payload = _load_payload(args.scenario)
         if isinstance(payload, dict):
             if getattr(args, "close", False):
                 payload["close"] = True
             if getattr(args, "classes", False):
                 payload["classes"] = True
-            if args.seed is not None or args.samples is not None:
-                quad = dict(payload.get("quad") or {})
+            quad = payload.get("quad")
+            if ((args.seed is not None or args.samples is not None)
+                    and (quad is None or isinstance(quad, dict))):
+                quad = dict(quad or {})
                 if args.seed is not None:
                     quad["seed"] = args.seed
                 if args.samples is not None:

@@ -430,7 +430,9 @@ def sharpness_experiment(t: BalancedType, p: float, cfg: QuadConfig,
 
     def batch(pts: np.ndarray) -> np.ndarray:
         out = np.empty((len(eps_grid), width, len(pts)))
-        _product_and_powers((k(pts) for k in kernels), ps, out)
+        for j, k in enumerate(kernels):
+            out[:, 1 + j, :] = k(pts)
+        _product_and_powers(out, ps)
         return out.reshape(-1, len(pts))
 
     ests = mc_sphere_estimates(t.n, cfg, batch, len(eps_grid) * width)

@@ -28,6 +28,7 @@ meaningful for the verification experiments.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -121,12 +122,51 @@ class Integrand:
     symmetry_tag: Symmetry | None = None
 
 
-def _worker_count(shards: int) -> int:
+@dataclass(frozen=True)
+class IntegrandStack:
+    """Integrands on one sphere that are evaluated together.
+
+    ``fill(points, out)`` writes the values of member i at the (m, n) points
+    into row i of the (len(stack), m) array ``out``, so one kernel can share
+    work between the members and write straight into an estimator's rows.
+    ``tags[i]`` is member i's symmetry tag, as in :class:`Integrand`.
+    """
+
+    n: int
+    tags: tuple[Symmetry | None, ...]
+    fill: Callable[[np.ndarray, np.ndarray], None]
+
+    def __len__(self) -> int:
+        return len(self.tags)
+
+    @classmethod
+    def of(cls, fs: Sequence[Integrand]) -> "IntegrandStack":
+        """The stack that evaluates each of ``fs`` in turn."""
+        n = fs[0].n
+        for j, f in enumerate(fs):
+            if f.n != n:
+                raise ValueError(f"integrand {j} has dimension {f.n}, integrand 0 has {n}")
+
+        def fill(pts: np.ndarray, out: np.ndarray) -> None:
+            for f, row in zip(fs, out):
+                row[...] = f.eval(pts)
+
+        return cls(n=n, tags=tuple(f.symmetry_tag for f in fs), fill=fill)
+
+
+def _worker_limit() -> int | None:
+    """The worker count set by ``SPHEREBL_WORKERS``; None when it is unset
+    or empty.  Raises ValueError unless it is a positive integer."""
     env = os.environ.get(_WORKERS_ENV)
-    if env:
-        width = max(1, int(env))
-    else:
-        width = os.cpu_count() or 1
+    if not env:
+        return None
+    if not (env.isascii() and env.isdigit() and int(env) >= 1):
+        raise ValueError(f"{_WORKERS_ENV} must be a positive integer, got {env!r}")
+    return int(env)
+
+
+def _worker_count(shards: int) -> int:
+    width = _worker_limit() or os.cpu_count() or 1
     return max(1, min(width, shards))
 
 
@@ -436,17 +476,21 @@ def _rel(est: Estimate) -> float:
     return est.stderr / abs(est.value) if est.value else 0.0
 
 
-def _product_and_powers(vals: Iterable[np.ndarray], ps: Sequence[float],
-                        out: np.ndarray) -> None:
-    """Write the series of one product-versus-norms check into ``out``:
-    the product of the value arrays into ``out[..., 0, :]`` and the p_j-th
-    power of the j-th into ``out[..., 1 + j, :]``."""
-    for j, (v, p) in enumerate(zip(vals, ps)):
-        if j == 0:
-            out[..., 0, :] = v
-        else:
-            out[..., 0, :] *= v
-        out[..., 1 + j, :] = v**p
+def _product_and_powers(out: np.ndarray, ps: Sequence[float]) -> None:
+    """Complete the series of one product-versus-norms check in place.
+
+    On entry ``out[..., 1 + j, :]`` holds the values of function j.  Their
+    product, taken in order j = 0, 1, ..., goes into ``out[..., 0, :]``, and
+    row 1 + j is raised to ``ps[j]`` in place, one call per run of equal
+    exponents."""
+    vals = out[..., 1:, :]
+    np.multiply.reduce(vals, axis=-2, out=out[..., 0, :])
+    start = 0
+    for p, run in itertools.groupby(ps):
+        stop = start + len(list(run))
+        block = vals[..., start:stop, :]
+        block **= p
+        start = stop
 
 
 def _holder_record(ests: Sequence[Estimate], ps: list[float],
@@ -483,43 +527,50 @@ def holder_verify(fams: Sequence[Symmetry], fs: Sequence[Integrand],
     return holder_verify_sets(fams, [fs], ps, cfg)[0]
 
 
-def holder_verify_sets(fams: Sequence[Symmetry], fs_sets: Sequence[Sequence[Integrand]],
+def holder_verify_sets(fams: Sequence[Symmetry],
+                       fs_sets: Sequence[Sequence[Integrand] | IntegrandStack],
                        ps: Sequence[float], cfg: QuadConfig) -> list[VerificationRecord]:
     """:func:`holder_verify` for several function sets of one family.
 
-    Both sides of every check come from one sample stream: set k adds the
-    product and the p-th powers of its functions as 1 + len(ps) series of
-    a single estimator pass.
+    Each set is an :class:`IntegrandStack` or a list of integrands, which
+    is evaluated as the stack :meth:`IntegrandStack.of` makes of it.  Both
+    sides of every check come from one sample stream: set k adds the
+    product and the p-th powers of its functions as 1 + len(ps) series of a
+    single estimator pass.  A stack writes its values straight into the
+    pass's rows; the product and the powers are then taken there in place.
     """
     exps = per_function_exponents(fams)
     if len(ps) != len(fams) or any(len(fs) != len(fams) for fs in fs_sets):
         raise ValueError("fams, fs and ps must have equal lengths")
+    stacks = [fs if isinstance(fs, IntegrandStack) else IntegrandStack.of(fs)
+              for fs in fs_sets]
     ps = [float(p) for p in ps]
     for j, (p, e) in enumerate(zip(ps, exps)):
         if p < e - 1e-12:
             raise ValueError(f"p[{j}] = {p} is below the sharp exponent {e}")
-    for fs in fs_sets:
-        for j, (s, f) in enumerate(zip(fams, fs)):
-            if f.n != s.n:
-                raise ValueError(f"integrand {j} has dimension {f.n}, family has {s.n}")
-            if f.symmetry_tag is not None and f.symmetry_tag != s:
+    n = fams[0].n
+    for stack in stacks:
+        if stack.n != n:
+            raise ValueError(f"integrands have dimension {stack.n}, family has {n}")
+        for j, (s, tag) in enumerate(zip(fams, stack.tags)):
+            if tag is not None and tag != s:
                 raise ValueError(f"integrand {j} is tagged with a different symmetry")
     flags = [[f"integrand {j} untagged: symmetry and evenness not checked"
-              for j, f in enumerate(fs) if f.symmetry_tag is None]
-             for fs in fs_sets]
+              for j, tag in enumerate(stack.tags) if tag is None]
+             for stack in stacks]
 
     width = 1 + len(ps)
 
     def batch(pts: np.ndarray) -> np.ndarray:
-        out = np.empty((len(fs_sets), width, len(pts)))
-        for fs, rows in zip(fs_sets, out):
-            _product_and_powers((np.asarray(f.eval(pts), dtype=float) for f in fs),
-                                ps, rows)
+        out = np.empty((len(stacks), width, len(pts)))
+        for stack, rows in zip(stacks, out):
+            stack.fill(pts, rows[1:])
+            _product_and_powers(rows, ps)
         return out.reshape(-1, len(pts))
 
-    ests = mc_sphere_estimates(fams[0].n, cfg, batch, len(fs_sets) * width)
+    ests = mc_sphere_estimates(n, cfg, batch, len(stacks) * width)
     return [_holder_record(ests[k * width:(k + 1) * width], ps, flags[k])
-            for k in range(len(fs_sets))]
+            for k in range(len(stacks))]
 
 
 def block_rotation_residual(f: Integrand, cfg: QuadConfig | None = None,

@@ -1,6 +1,12 @@
+import contextlib
+import copy
+import io
 import json
+import math
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from spherebl.cli import Scenario, emit_csv, main, run
 from spherebl.errors import InputError
@@ -145,6 +151,18 @@ class TestVerifyHolder:
         assert main(["verify-holder", path]) == 1
         assert f"quad.{next(iter(quad))}: integer required" in capsys.readouterr().err
 
+    def test_record_does_not_depend_on_workers(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "s.json", {
+            "type": {"n": 5, "lengths": [2, 2]}, "count": 2,
+            "functions": {"kind": "random-symmetric", "seed": 3},
+            "quad": {"samples": 20_000, "seed": 4, "shards": 3}})
+        results = []
+        for width in ("1", "2"):
+            monkeypatch.setenv("SPHEREBL_WORKERS", width)
+            assert main(["verify-holder", path, "--json"]) == 0
+            results.append(json.loads(capsys.readouterr().out)["results"])
+        assert results[0] == results[1]
+
     def test_deterministic_rerun(self, tmp_path, capsys):
         path = self.scenario(tmp_path)
         main(["verify-holder", path, "--json"])
@@ -226,3 +244,147 @@ class TestRunAndRecord:
 
     def test_missing_file(self, capsys):
         assert main(["decompose", "/nonexistent/x.json"]) == 1
+
+
+class TestScenarioValues:
+    BASE = {
+        "verify-holder": {"type": {"n": 3, "lengths": [2]}, "p": 2.0,
+                          "functions": {"kind": "random-symmetric", "seed": 5}},
+        "verify-sharpness": {"type": {"n": 3, "lengths": [2]}, "p": 1.8, "gamma": 0.5},
+        "verify-local": {"type": {"n": 3, "lengths": [2]}, "eta": 0.1},
+    }
+
+    @pytest.mark.parametrize("mode, key, value, path", [
+        ("verify-local", "eta", "abc", "eta"),
+        ("verify-sharpness", "p", "x", "p"),
+        ("verify-holder", "functions", {"kind": "random-symmetric", "amplitude": "big"},
+         "functions.amplitude"),
+        ("verify-sharpness", "eps_grid", [0.1, "0.01", 0.001], "eps_grid[1]"),
+        ("verify-sharpness", "gamma", True, "gamma"),
+        ("verify-local", "eta", math.nan, "eta"),
+        ("verify-local", "r_grid", [1.0, 2.0, 4.0, math.inf], "r_grid[3]"),
+        ("verify-local", "slope_window", [0, "1"], "slope_window[1]"),
+        ("verify-holder", "ps", [2.0, "2", 2.0], "ps[1]"),
+        ("verify-holder", "functions", {"kind": "random-symmetric", "seed": 1.5},
+         "functions.seed"),
+        ("verify-holder", "functions", {"kind": "random-symmetric", "seed": -1},
+         "functions.seed"),
+        ("verify-holder", "functions", {"kind": "constant", "value": "one"},
+         "functions.value"),
+        ("verify-holder", "functions", {"kind": "constant", "value": -1.0},
+         "functions.value"),
+        ("verify-holder", "functions", {"kind": "random-symmetric", "amplitude": 1e308},
+         "functions.amplitude"),
+        ("verify-holder", "functions", {"kind": "extremal", "gamma": 0.2, "trunc": 0.7},
+         "functions"),
+        ("verify-holder", "functions", {"kind": "extremal", "gamma": "g", "trunc": 0.1},
+         "functions.gamma"),
+        ("verify-holder", "functions", {"kind": "extremal", "gamma": 0.2, "trunc": None},
+         "functions.trunc"),
+        ("verify-holder", "type", {"n": 3, "lengths": [None]}, "type.lengths"),
+        ("verify-sharpness", "eps_grid", {"kind": "dyadic", "min_exp": 3,
+                                          "max_exp": 5000}, "eps_grid"),
+    ])
+    def test_bad_value_is_input_error(self, tmp_path, capsys, mode, key, value, path):
+        payload = dict(self.BASE[mode], quad={"samples": 1000, "seed": 1, "shards": 1})
+        payload[key] = value
+        assert main([mode, write(tmp_path, "s.json", payload)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    def test_non_object_scenario_is_input_error(self, tmp_path, capsys):
+        assert main(["identities", write(tmp_path, "s.json", [1, 2])]) == 1
+        assert "scenario: expected a JSON object" in capsys.readouterr().err
+
+    def test_overrides_leave_a_bad_quad_to_validation(self, tmp_path, capsys):
+        payload = dict(self.BASE["verify-local"], quad="fast")
+        assert main(["verify-local", write(tmp_path, "s.json", payload),
+                     "--samples", "1000"]) == 1
+        assert "quad: expected an object" in capsys.readouterr().err
+
+
+class TestWorkersSetting:
+    @pytest.mark.parametrize("mode", ["verify-holder", "verify-local"])
+    @pytest.mark.parametrize("env", ["abc", "-3"])
+    def test_invalid_setting_is_input_error(self, tmp_path, capsys, monkeypatch,
+                                            mode, env):
+        monkeypatch.setenv("SPHEREBL_WORKERS", env)
+        payload = {"type": {"n": 3, "lengths": [2]},
+                   "quad": {"samples": 1000, "seed": 1, "shards": 2}}
+        assert main([mode, write(tmp_path, "s.json", payload)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: SPHEREBL_WORKERS: SPHEREBL_WORKERS must be a positive integer")
+
+
+# --- fuzzing the README scenarios -------------------------------------------
+
+README_SCENARIOS = [
+    ("decompose", {"n": 4, "edges": [[1, 2], [3, 4]]}),
+    ("exponents", {"n": 4, "lengths": [2, 2]}),
+    ("enumerate", {"n": 4, "lengths": [2, 2]}),
+    ("identities", {"n_max": 6}),
+    ("verify-holder", {"type": {"n": 3, "lengths": [2]}, "p": 2.0, "count": 20,
+                       "functions": {"kind": "random-symmetric", "seed": 7},
+                       "quad": {"samples": 1000000, "seed": 1, "shards": 4}}),
+    ("verify-sharpness", {"type": {"n": 3, "lengths": [2]}, "p": 1.8, "gamma": 0.5,
+                          "eps_grid": {"kind": "dyadic", "min_exp": 3, "max_exp": 20},
+                          "quad": {"samples": 1000000, "seed": 1, "shards": 4}}),
+    ("verify-local", {"type": {"n": 3, "lengths": [2]}, "eta": 0.1,
+                      "r_grid": {"kind": "dyadic", "min_exp": 0, "max_exp": 10},
+                      "quad": {"samples": 1000000, "seed": 1, "shards": 4}}),
+]
+
+JUNK = ["abc", "", "2", -1, -3, -0.5, 0, 1e300, True, None, [], {}, [1, "x"],
+        {"kind": "dyadic"}, math.nan, -math.inf]
+
+
+def _nodes(value, path=()):
+    """Paths of every value inside a JSON tree."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield path + (key,)
+            yield from _nodes(item, path + (key,))
+    elif isinstance(value, list):
+        for k, item in enumerate(value):
+            yield path + (k,)
+            yield from _nodes(item, path + (k,))
+
+
+def _mutate(payload, path, action, junk):
+    *head, last = path
+    parent = payload
+    for step in head:
+        parent = parent[step]
+    if action == "drop":
+        del parent[last]
+    elif action == "add" and isinstance(parent, dict):
+        parent[f"extra_{last}"] = junk
+    else:
+        parent[last] = junk
+
+
+@st.composite
+def mutated_scenarios(draw):
+    mode, base = draw(st.sampled_from(README_SCENARIOS))
+    payload = json.loads(json.dumps(base))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_nodes(payload))
+        if not paths:
+            break
+        _mutate(payload, draw(st.sampled_from(paths)),
+                draw(st.sampled_from(["drop", "swap", "add"])),
+                copy.deepcopy(draw(st.sampled_from(JUNK))))
+    return mode, payload
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_scenarios())
+def test_mutated_readme_scenarios_never_raise(scenario):
+    mode, payload = scenario
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(payload))), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # the override keeps every Monte Carlo run at 1,000 samples
+        code = main([mode, "-", "--json", "--samples", "1000"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -9,6 +9,7 @@ from spherebl import (
     BalancedType,
     EdgeSet,
     Integrand,
+    IntegrandStack,
     MultiIndex,
     NonFiniteSampleError,
     QuadConfig,
@@ -26,6 +27,7 @@ from spherebl import (
     mc_ball_estimates,
     product_integrand,
     random_block_invariant,
+    random_block_invariants,
     sample_sphere,
 )
 
@@ -84,6 +86,12 @@ class TestDeterminism:
         monkeypatch.setenv("SPHEREBL_WORKERS", "4")
         threaded = integrate_sphere(f, CFG)
         assert serial == threaded
+
+    @pytest.mark.parametrize("env", ["abc", "-3", "0", "2.5", " 2"])
+    def test_invalid_worker_setting_names_the_variable(self, monkeypatch, env):
+        monkeypatch.setenv("SPHEREBL_WORKERS", env)
+        with pytest.raises(ValueError, match="SPHEREBL_WORKERS"):
+            quadrature._worker_count(4)
 
     def test_default_shards_do_not_follow_the_machine(self, monkeypatch):
         default = QuadConfig().shards
@@ -277,12 +285,73 @@ class TestHolder:
         fused = holder_verify_sets(fams, sets, [2.0] * 3, CFG)
         assert fused == [holder_verify(fams, fs, [2.0] * 3, CFG) for fs in sets]
 
+    def test_stack_equals_list_of_integrands(self):
+        fams = enumerate_symmetries(BalancedType(4, (2,)))
+        seeds = [40 + 7 * j for j in range(len(fams))]
+        sets = [[random_block_invariant(s, seed=sd) for s, sd in zip(fams, seeds)],
+                random_block_invariants(fams, seeds)]
+        stacked = holder_verify_sets(fams, sets, [6.0] * len(fams), CFG)
+        assert stacked[0] == stacked[1]
+        assert stacked[1] == holder_verify(fams, sets[0], [6.0] * len(fams), CFG)
+
+    def test_mixed_exponents_match_per_function_powers(self):
+        fams = enumerate_symmetries(BalancedType(3, (2,)))
+        fs = [random_block_invariant(s, seed=j) for j, s in enumerate(fams)]
+        ps = [2.0, 3.0, 2.0]
+        rec = holder_verify(fams, fs, ps, CFG)
+        for f, p, norm in zip(fs, ps, rec.norms):
+            alone = lp_norm_sphere(f, p, CFG)
+            assert norm.value == pytest.approx(alone.value, rel=1e-12)
+
     def test_record_round_trip(self):
         from spherebl import VerificationRecord
         fams = enumerate_symmetries(BalancedType(3, (2,)))
         fs = [constant_integrand(3, 2.0, tag=s) for s in fams]
         rec = holder_verify(fams, fs, [2.0] * 3, CFG)
         assert VerificationRecord.from_dict(rec.to_dict()) == rec
+
+
+class TestRandomBlockInvariants:
+    # a 9-coordinate block (numpy sums more than 8 terms pairwise) next to
+    # members with two blocks and free coordinates: 2 and 8 terms
+    FAMS = [decompose(EdgeSet.of(10, [(i, j) for i in range(1, 10)
+                                      for j in range(i + 1, 10)])),
+            decompose(EdgeSet.of(10, [(1, 2), (3, 4)])),
+            decompose(EdgeSet.of(10, [(2, 5), (2, 7), (5, 7)]))]
+
+    def points(self):
+        return next(iter(sample_sphere(10, QuadConfig(samples=3000, seed=4, shards=1))))
+
+    @pytest.mark.parametrize("amplitude", [1.0, 0.25])
+    def test_rows_equal_single_functions_bit_for_bit(self, amplitude):
+        seeds = [5, 17, 2**40]
+        stack = random_block_invariants(self.FAMS, seeds, amplitude)
+        pts = self.points()
+        out = np.empty((len(stack), len(pts)))
+        stack.fill(pts, out)
+        for row, s, seed in zip(out, self.FAMS, seeds):
+            single = random_block_invariant(s, seed, amplitude).eval(pts)
+            assert np.array_equal(row, single)
+
+    def test_single_function_keeps_its_formula(self):
+        s = self.FAMS[1]
+        pts = self.points()
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(9)))
+        a = rng.uniform(-1.0, 1.0, size=8)  # 2 blocks, then 6 free coordinates
+        u = [pts[:, 0] ** 2 + pts[:, 1] ** 2, pts[:, 2] ** 2 + pts[:, 3] ** 2]
+        u += [pts[:, i] ** 2 for i in range(4, 10)]
+        expected = np.exp(sum(c * v for c, v in zip(a, u)))
+        assert np.allclose(random_block_invariant(s, 9).eval(pts), expected,
+                           rtol=1e-14, atol=0)
+
+    def test_stack_is_tagged(self):
+        stack = random_block_invariants(self.FAMS, [1, 2, 3])
+        assert isinstance(stack, IntegrandStack)
+        assert stack.n == 10 and stack.tags == tuple(self.FAMS) and len(stack) == 3
+
+    def test_adapter_rejects_mixed_dimensions(self):
+        with pytest.raises(ValueError, match="dimension"):
+            IntegrandStack.of([constant_integrand(3), constant_integrand(4)])
 
 
 class TestProductIntegrand:
