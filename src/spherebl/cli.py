@@ -50,6 +50,19 @@ from .symmetry import EdgeSet, Symmetry, decompose, lie_closure
 MODES = ("decompose", "exponents", "enumerate", "identities",
          "verify-holder", "verify-sharpness", "verify-local")
 
+#: The top-level fields of each mode's scenario object, with those that
+#: :func:`main` sets from flags (``close``, ``classes``, ``quad``); any other
+#: key is an input error, so a misspelt field cannot fall back to its default.
+_FIELDS = {
+    "decompose": {"n", "edges", "close"},
+    "exponents": {"n", "lengths", "families"},
+    "enumerate": {"n", "lengths", "cap", "classes"},
+    "identities": {"n_max"},
+    "verify-holder": {"type", "families", "p", "ps", "count", "functions", "quad"},
+    "verify-sharpness": {"type", "p", "gamma", "eps_grid", "cap", "quad"},
+    "verify-local": {"type", "families", "eta", "r_grid", "slope_window", "quad"},
+}
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -286,7 +299,8 @@ def _run_identities(payload: dict) -> tuple[dict, bool | None]:
 
 def _holder_functions(fn_cfg: Any, fams: list[Symmetry], repetition: int,
                       fallback_seed: int):
-    fn_cfg = fn_cfg or {"kind": "random-symmetric"}
+    if fn_cfg is None:
+        fn_cfg = {"kind": "random-symmetric"}
     _require(isinstance(fn_cfg, dict) and "kind" in fn_cfg, "functions",
              "expected an object with a 'kind'")
     kind = fn_cfg["kind"]
@@ -421,6 +435,9 @@ def run(scenario: Scenario) -> RunRecord:
         raise InputError("mode", f"unknown mode {scenario.mode!r}")
     if scenario.mode != "exponents":  # the one mode that also takes a list
         _require(isinstance(scenario.payload, dict), "scenario", "expected a JSON object")
+    if isinstance(scenario.payload, dict):
+        for key in scenario.payload:
+            _require(key in _FIELDS[scenario.mode], key, "unknown field")
     start = time.perf_counter()
     results, passed = _HANDLERS[scenario.mode](scenario.payload)
     return RunRecord(
@@ -558,6 +575,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 payload["classes"] = True
             quad = payload.get("quad")
             if ((args.seed is not None or args.samples is not None)
+                    and "quad" in _FIELDS[args.mode]
                     and (quad is None or isinstance(quad, dict))):
                 quad = dict(quad or {})
                 if args.seed is not None:

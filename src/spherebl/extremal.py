@@ -18,9 +18,14 @@ finite norms and a divergent product integral.
 Numerically the singular bases are floored: |x| by max(|x|, eps) and
 (1 - |x|^2) by max(., eps^2).  Flooring keeps the integrand total on the
 sphere, monotone in eps (smaller eps, larger values), and gives clean 1-d
-asymptotics for the truncated norms.  The integrand depends on eps only
-through the floors, so one kernel evaluates a whole eps grid from the
-block radii, |x_j| and 1 - r^2 computed once per point.  Every grid point
+asymptotics for the truncated norms.  A floor changes a base only where
+the base lies below it: on S^2 |x_j| < eps holds for an eps share of the
+points, so over a dyadic grid about a quarter of the (eps, point) pairs
+see a floor act.  One kernel therefore evaluates a whole eps grid as a
+base row, the values under the smallest floor, plus the values at the
+pairs where a larger floor acts; every other value of the grid equals
+the base value to the last bit, and the experiments raise the base row
+and the pairs to their power before they scatter them.  Every grid point
 of an experiment is a value series of one estimator pass over one seeded
 sample stream (common random numbers), so grid series are exactly
 monotone where the integrand is, and a truncated norm that has converged
@@ -38,6 +43,7 @@ parameter eta goes to 0.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -61,7 +67,7 @@ from .quadrature import (
     mc_ball_estimates,
     mc_sphere_estimates,
     _power_transform,
-    _product_and_powers,
+    _product,
 )
 from .symmetry import Symmetry
 
@@ -91,11 +97,22 @@ def default_r_grid() -> list[float]:
 
 
 def _extremal_kernel(s: Symmetry, gamma: float, eps_grid: Sequence[float]):
-    """The truncated extremal integrand of ``s`` at every floor in
-    ``eps_grid``: maps (m, n) points to a (len(eps_grid), m) array.
+    """The truncated extremal integrand of ``s`` at every floor of the
+    non-increasing ``eps_grid``, as a base row plus the pairs that differ.
 
-    The block radii, |x_j| and 1 - r^2 are computed once per call; only the
-    floors and the powers depend on eps.
+    The returned function maps (m, n) points to ``(base, k_idx, p_idx,
+    vals)``: ``base[i]`` is the value at point i under the smallest floor
+    ``eps_grid[-1]``, and the value under ``eps_grid[k]`` is ``vals[q]``
+    where ``(k_idx[q], p_idx[q]) == (k, i)``, else ``base[i]``;
+    :func:`_fill_rows` writes these (len(eps_grid), m) rows.
+
+    A floor eps changes a base b (|x| or a block radius against eps,
+    1 - |x|^2 against eps^2) only where b < eps, and then it changes it
+    under every larger floor too.  So one ``searchsorted`` per base against
+    the ascending floors counts the floors acting on each point, the
+    largest count over its bases gives its pairs, and the floored formula
+    is evaluated once over all pairs with one floor per pair.  Everywhere
+    else max(b, eps) == b, which is the base value bit for bit.
     """
     for eps in eps_grid:
         ExtremalParams(gamma=gamma, trunc=eps)  # raises on an invalid strength or floor
@@ -103,31 +120,63 @@ def _extremal_kernel(s: Symmetry, gamma: float, eps_grid: Sequence[float]):
     tail = [(np.array([i - 1 for i in a.support()], dtype=int), a.weight)
             for a in s.alphas[1:]]
     singles = np.array([i - 1 for i in s.r_mask.support()], dtype=int)
+    grid = np.array(eps_grid, dtype=float)
+    num = len(grid)
+    # the floors of |x| and of 1 - |x|^2, ascending
+    asc, asc2 = grid[::-1].copy(), (grid * grid)[::-1].copy()
 
-    def ev(pts: np.ndarray) -> np.ndarray:
+    def floored(m: int, blocks, single, eps) -> np.ndarray:
+        # eps is one floor (a numpy scalar) or one floor per point
+        floor2 = eps * eps
+        prod = np.ones(m)
+        sums = np.zeros(m)
+        for r, rest_b, w in blocks:
+            prod = prod * np.maximum(r, eps) ** (-gamma * w)
+            sums += np.maximum(rest_b, floor2) ** (-gamma * (n - w) / 2.0)
+        if single is not None:
+            ax, rest = single
+            prod = prod * np.prod(np.maximum(ax, eps[..., None]) ** (-gamma), axis=1)
+            sums += (np.maximum(rest, floor2[..., None])
+                     ** (-gamma * (n - 1) / 2.0)).sum(axis=1)
+        return prod + sums
+
+    def ev(pts: np.ndarray):
         m = len(pts)
+        # floors acting on point i: eps_grid[:num - untouched[i]]
+        untouched = np.full(m, num)
         blocks = []
         for cols, w in tail:
             r2 = (pts[:, cols] ** 2).sum(axis=1)
-            blocks.append((np.sqrt(r2), 1.0 - r2, w))
+            r, rest_b = np.sqrt(r2), 1.0 - r2
+            blocks.append((r, rest_b, w))
+            np.minimum(untouched, np.searchsorted(asc, r, "right"), out=untouched)
+            np.minimum(untouched, np.searchsorted(asc2, rest_b, "right"), out=untouched)
+        single = None
         if singles.size:
             x = pts[:, singles]
-            ax, rest = np.abs(x), 1.0 - x * x
-        out = np.empty((len(eps_grid), m))
-        for row, eps in zip(out, eps_grid):
-            floor2 = eps * eps
-            prod = np.ones(m)
-            sums = np.zeros(m)
-            for r, rest_b, w in blocks:
-                prod = prod * np.maximum(r, eps) ** (-gamma * w)
-                sums += np.maximum(rest_b, floor2) ** (-gamma * (n - w) / 2.0)
-            if singles.size:
-                prod = prod * np.prod(np.maximum(ax, eps) ** (-gamma), axis=1)
-                sums += (np.maximum(rest, floor2) ** (-gamma * (n - 1) / 2.0)).sum(axis=1)
-            np.add(prod, sums, out=row)
-        return out
+            single = (np.abs(x), 1.0 - x * x)
+            for b, floors in zip(single, (asc, asc2)):
+                np.minimum(untouched, np.searchsorted(floors, b, "right").min(axis=1),
+                           out=untouched)
+        # the last floor is the base's, so no pair needs it
+        counts = num - np.maximum(untouched, 1)
+        p_idx = np.repeat(np.arange(m), counts)
+        k_idx = np.arange(len(p_idx)) - np.repeat(np.cumsum(counts) - counts, counts)
+        base = floored(m, blocks, single, grid[-1])
+        vals = floored(len(p_idx), [(r[p_idx], rest_b[p_idx], w) for r, rest_b, w in blocks],
+                       None if single is None else (single[0][p_idx], single[1][p_idx]),
+                       grid[k_idx])
+        return base, k_idx, p_idx, vals
 
     return ev
+
+
+def _fill_rows(rows: np.ndarray, base: np.ndarray, k_idx: np.ndarray,
+               p_idx: np.ndarray, vals: np.ndarray) -> None:
+    """Write the (len(eps_grid), m) rows of one :func:`_extremal_kernel`
+    result (or of a pointwise function of it) into ``rows``."""
+    rows[...] = base
+    rows[k_idx, p_idx] = vals
 
 
 def extremal_function(s: Symmetry, params: ExtremalParams) -> Integrand:
@@ -317,9 +366,18 @@ def norm_boundary_scan(s: Symmetry, gamma: float, p: float,
     log ||f_eps||_p against log eps ("power" model), except at g*p == 1
     where ||f_eps||_p^p is fitted against log(1/eps) ("log" model).
     """
+    if not p > 0:
+        raise ValueError("p must be positive")
     eps_grid = sorted((float(e) for e in eps_grid), reverse=True)
     kernel = _extremal_kernel(s, gamma, eps_grid)
-    raw = mc_sphere_estimates(s.n, cfg, lambda pts: kernel(pts) ** p, len(eps_grid))
+
+    def batch(pts: np.ndarray) -> np.ndarray:
+        base, k_idx, p_idx, vals = kernel(pts)
+        out = np.empty((len(eps_grid), len(pts)))
+        _fill_rows(out, base ** p, k_idx, p_idx, vals ** p)
+        return out
+
+    raw = mc_sphere_estimates(s.n, cfg, batch, len(eps_grid))
 
     log_case = abs(gamma * p - 1.0) < 1e-12
     if log_case:
@@ -412,6 +470,8 @@ def sharpness_experiment(t: BalancedType, p: float, cfg: QuadConfig,
     the resolved window stays above :data:`INCREMENT_DECAY_THRESHOLD`.
     When too few resolved increments exist the level test alone decides.
     """
+    if not p > 0:
+        raise ValueError("p must be positive")
     p_sharp = balanced_exponent(t)
     g = float(gamma) if gamma is not None else 1.0 / p_sharp
     if g <= 0:
@@ -425,15 +485,25 @@ def sharpness_experiment(t: BalancedType, p: float, cfg: QuadConfig,
 
     fams = enumerate_symmetries(t, cap=cap)
     kernels = [_extremal_kernel(s, g, eps_grid) for s in fams]
-    ps = [p] * len(fams)
     width = 1 + len(fams)
+    # one block of rows per worker thread, reused for every chunk: blocks
+    # allocated per chunk stay with the allocator and raise the peak RSS
+    local = threading.local()
 
     def batch(pts: np.ndarray) -> np.ndarray:
-        out = np.empty((len(eps_grid), width, len(pts)))
-        for j, k in enumerate(kernels):
-            out[:, 1 + j, :] = k(pts)
-        _product_and_powers(out, ps)
-        return out.reshape(-1, len(pts))
+        m = len(pts)
+        size = len(eps_grid) * width * m
+        if getattr(local, "buf", None) is None or local.buf.size < size:
+            local.buf = np.empty(size)
+        out = local.buf[:size].reshape(len(eps_grid), width, m)
+        parts = [k(pts) for k in kernels]
+        for j, (base, k_idx, p_idx, vals) in enumerate(parts):
+            _fill_rows(out[:, 1 + j, :], base, k_idx, p_idx, vals)
+        _product(out)
+        # p-th powers: one of each base, broadcast, and one of the pairs
+        for j, (base, k_idx, p_idx, vals) in enumerate(parts):
+            _fill_rows(out[:, 1 + j, :], base ** p, k_idx, p_idx, vals ** p)
+        return out.reshape(-1, m)
 
     ests = mc_sphere_estimates(t.n, cfg, batch, len(eps_grid) * width)
     lhs = [ests[k * width] for k in range(len(eps_grid))]

@@ -476,15 +476,20 @@ def _rel(est: Estimate) -> float:
     return est.stderr / abs(est.value) if est.value else 0.0
 
 
+def _product(out: np.ndarray) -> None:
+    """Write the product of the rows ``out[..., 1 + j, :]``, taken in order
+    j = 0, 1, ..., into ``out[..., 0, :]``."""
+    np.multiply.reduce(out[..., 1:, :], axis=-2, out=out[..., 0, :])
+
+
 def _product_and_powers(out: np.ndarray, ps: Sequence[float]) -> None:
     """Complete the series of one product-versus-norms check in place.
 
     On entry ``out[..., 1 + j, :]`` holds the values of function j.  Their
-    product, taken in order j = 0, 1, ..., goes into ``out[..., 0, :]``, and
-    row 1 + j is raised to ``ps[j]`` in place, one call per run of equal
-    exponents."""
+    :func:`_product` goes into ``out[..., 0, :]``, and row 1 + j is raised
+    to ``ps[j]`` in place, one call per run of equal exponents."""
+    _product(out)
     vals = out[..., 1:, :]
-    np.multiply.reduce(vals, axis=-2, out=out[..., 0, :])
     start = 0
     for p, run in itertools.groupby(ps):
         stop = start + len(list(run))

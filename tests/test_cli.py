@@ -192,6 +192,18 @@ class TestVerifySharpness:
         rep = record["results"]["report"]
         assert rep["fit_model"] == "log"
 
+    def test_record_does_not_depend_on_workers(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "s.json", {
+            "type": {"n": 3, "lengths": [2]}, "p": 1.8, "gamma": 0.5,
+            "eps_grid": {"kind": "dyadic", "min_exp": 3, "max_exp": 20},
+            "quad": {"samples": 30_000, "seed": 5, "shards": 3}})
+        results = []
+        for width in ("1", "2"):
+            monkeypatch.setenv("SPHEREBL_WORKERS", width)
+            assert main(["verify-sharpness", path, "--json"]) in (0, 2)
+            results.append(json.loads(capsys.readouterr().out)["results"])
+        assert results[0] == results[1]
+
     def test_gamma_p_guard(self, tmp_path):
         payload = {"type": {"n": 3, "lengths": [2]}, "p": 2.5, "gamma": 0.5,
                    "quad": {"samples": 1000, "seed": 1, "shards": 1}}
@@ -284,12 +296,23 @@ class TestScenarioValues:
         ("verify-holder", "type", {"n": 3, "lengths": [None]}, "type.lengths"),
         ("verify-sharpness", "eps_grid", {"kind": "dyadic", "min_exp": 3,
                                           "max_exp": 5000}, "eps_grid"),
+        # only a missing or null value selects the default functions
+        ("verify-holder", "functions", 0, "functions"),
+        ("verify-holder", "functions", [], "functions"),
+        ("verify-holder", "functions", "", "functions"),
+        ("verify-holder", "functions", False, "functions"),
+        ("verify-holder", "functions", {}, "functions"),
     ])
     def test_bad_value_is_input_error(self, tmp_path, capsys, mode, key, value, path):
         payload = dict(self.BASE[mode], quad={"samples": 1000, "seed": 1, "shards": 1})
         payload[key] = value
         assert main([mode, write(tmp_path, "s.json", payload)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    def test_null_functions_select_the_default(self, tmp_path, capsys):
+        payload = dict(self.BASE["verify-holder"], functions=None,
+                       quad={"samples": 1000, "seed": 1, "shards": 1})
+        assert main(["verify-holder", write(tmp_path, "s.json", payload)]) == 0
 
     def test_non_object_scenario_is_input_error(self, tmp_path, capsys):
         assert main(["identities", write(tmp_path, "s.json", [1, 2])]) == 1
@@ -300,6 +323,35 @@ class TestScenarioValues:
         assert main(["verify-local", write(tmp_path, "s.json", payload),
                      "--samples", "1000"]) == 1
         assert "quad: expected an object" in capsys.readouterr().err
+
+
+class TestUnknownFields:
+    VALID = {
+        "decompose": {"n": 4, "edges": [[1, 2], [3, 4]]},
+        "exponents": {"n": 4, "lengths": [2, 2]},
+        "enumerate": {"n": 4, "lengths": [2, 2]},
+        "identities": {"n_max": 4},
+        "verify-holder": {"type": {"n": 3, "lengths": [2]}, "p": 2.0,
+                          "quad": {"samples": 1000, "seed": 1, "shards": 1}},
+        "verify-sharpness": {"type": {"n": 3, "lengths": [2]}, "p": 1.8, "gamma": 0.5,
+                             "quad": {"samples": 1000, "seed": 1, "shards": 1}},
+        "verify-local": {"type": {"n": 3, "lengths": [2]},
+                         "quad": {"samples": 1000, "seed": 1, "shards": 1}},
+    }
+
+    @pytest.mark.parametrize("mode", sorted(VALID))
+    def test_unknown_key_is_input_error(self, tmp_path, capsys, mode):
+        payload = dict(self.VALID[mode], sampels=5)
+        assert main([mode, write(tmp_path, "s.json", payload)]) == 1
+        assert capsys.readouterr().err.startswith("error: sampels: unknown field")
+
+    @pytest.mark.parametrize("mode, flags", [
+        ("decompose", ["--close", "--seed", "3"]),
+        ("enumerate", ["--classes", "--samples", "1000"]),
+        ("identities", ["--seed", "3"]),
+    ])
+    def test_keys_set_by_flags_are_known(self, tmp_path, mode, flags):
+        assert main([mode, write(tmp_path, "s.json", self.VALID[mode])] + flags) == 0
 
 
 class TestWorkersSetting:

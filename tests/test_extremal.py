@@ -33,6 +33,7 @@ from spherebl import (
     sharpness_experiment,
     truncated_norm_slope_prediction,
 )
+from spherebl.extremal import _extremal_kernel, _fill_rows
 from spherebl.quadrature import _power_transform
 from oracles import truncated_extremal_norm_p
 
@@ -160,6 +161,12 @@ class TestNormBoundaryScan:
         vals = [e.value for e in rep.lhs]  # eps decreasing, shared samples
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("p", [0.0, -1.0])
+    def test_nonpositive_p_rejected(self, p):
+        s = decompose(EdgeSet.of(3, [(1, 2)]))
+        with pytest.raises(ValueError, match="p must be positive"):
+            norm_boundary_scan(s, gamma=0.25, p=p, eps_grid=self.GRID, cfg=CFG)
+
     def test_prediction_helper(self):
         assert truncated_norm_slope_prediction(3, 0.25, 2.0) == 0.0
         assert truncated_norm_slope_prediction(3, 0.75, 2.0) == pytest.approx(-0.5)
@@ -188,6 +195,10 @@ class TestSharpness:
         with pytest.raises(ValueError):
             sharpness_experiment(BalancedType(3, (2,)), p=2.5,
                                  cfg=CFG, gamma=0.5)
+
+    def test_nonpositive_p_rejected(self):
+        with pytest.raises(ValueError, match="p must be positive"):
+            sharpness_experiment(BalancedType(3, (2,)), p=0.0, cfg=CFG)
 
     def test_default_gamma_is_reciprocal_exponent(self):
         rep = sharpness_experiment(BalancedType(3, (2,)), p=1.8,
@@ -309,6 +320,46 @@ class TestFusedGrids:
             for eps in (2.0 ** -3, 2.0 ** -10, 2.0 ** -20):
                 f = extremal_function(s, ExtremalParams(gamma=0.3, trunc=eps))
                 assert np.array_equal(f.eval(pts), _reference_extremal(s, 0.3, eps, pts))
+
+    def test_kernel_rows_match_reference_at_every_floor(self):
+        pts = next(iter(sample_sphere(5, QuadConfig(samples=2000, seed=5, shards=1))))
+        pts[:6, 4] = [0.0, 2.0 ** -10, -2.0 ** -5, 2.0 ** -20, -(1 - 2.0 ** -30), 1.0]
+        pts[6, :4] = [2.0 ** -7, 0.0, 0.0, 0.0]  # radius of {1,2} and {1,2,3} is a floor
+        pts[7] = [0.0, 0.0, 0.0, 2.0 ** -12, 0.0]  # radius of {3,4} and {4,5} is a floor
+        pts[8, :4] = [0.6, 0.8, 0.0, 0.0]  # a block radius of 1
+        repeated = [2.0 ** -3, 2.0 ** -5, 2.0 ** -5, 2.0 ** -10, 2.0 ** -12, 2.0 ** -12]
+        for edges in ([(1, 2), (3, 4)], [(1, 2)], [(1, 2), (1, 3), (2, 3), (4, 5)]):
+            s = decompose(EdgeSet.of(5, edges))
+            for grid in (FUSED_GRID, repeated):
+                base, k_idx, p_idx, vals = _extremal_kernel(s, 0.3, grid)(pts)
+                assert 0 < len(vals) < (len(grid) - 1) * len(pts)
+                rows = np.empty((len(grid), len(pts)))
+                _fill_rows(rows, base, k_idx, p_idx, vals)
+                for k, eps in enumerate(grid):
+                    assert np.array_equal(rows[k], _reference_extremal(s, 0.3, eps, pts)), \
+                        (edges, eps)
+
+    def test_power_does_not_depend_on_position(self):
+        # the fused runs raise the base row and the pairs to a power apart
+        # and scatter them; that equals the power of the whole row only if
+        # numpy's power of an element does not depend on where it sits
+        rng = np.random.default_rng(17)
+        x = np.concatenate([np.logspace(-42, 3, 4001, base=2.0),
+                            rng.random(6006) * 4.0, [2.0 ** -20, 0.5, 1.0]])
+        idx = rng.integers(0, len(x), 3001)
+        exps = {1.8, 2.0}  # the p of the tests and the benchmark
+        for g in (0.3, 0.5, 0.75):
+            for n in (3, 5):
+                exps |= {-g, -g * (n - 1) / 2.0}
+                exps |= {-g * w for w in range(2, n)} | {-g * (n - w) / 2.0 for w in range(2, n)}
+        for e in sorted(exps):
+            full = x ** e
+            assert np.array_equal(x[idx] ** e, full[idx]), e
+            assert np.array_equal(x[1::3] ** e, full[1::3]), e
+            block = np.stack([x, x, x])
+            view = block[1:, 5:]
+            view **= e
+            assert np.array_equal(view[1], full[5:]), e
 
     def test_sharpness_series_equal_per_eps_passes(self):
         t = BalancedType(3, (2,))
