@@ -53,6 +53,7 @@ MODES = ("decompose", "exponents", "enumerate", "identities",
 #: The top-level fields of each mode's scenario object, with those that
 #: :func:`main` sets from flags (``close``, ``classes``, ``quad``); any other
 #: key is an input error, so a misspelt field cannot fall back to its default.
+#: Only the modes with a ``quad`` field take ``--seed`` and ``--samples``.
 _FIELDS = {
     "decompose": {"n", "edges", "close"},
     "exponents": {"n", "lengths", "families"},
@@ -543,10 +544,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(mode)
         sp.add_argument("scenario", nargs="?", default=None,
                         help="scenario JSON file ('-' for stdin)")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override the quadrature seed")
-        sp.add_argument("--samples", type=int, default=None,
-                        help="override the sample count")
+        if "quad" in _FIELDS[mode]:
+            sp.add_argument("--seed", type=int, default=None,
+                            help="override the quadrature seed")
+            sp.add_argument("--samples", type=int, default=None,
+                            help="override the sample count")
         sp.add_argument("--json", action="store_true",
                         help="print the full run record as JSON")
         sp.add_argument("--csv", metavar="PATH", default=None,
@@ -573,15 +575,16 @@ def main(argv: Sequence[str] | None = None) -> int:
                 payload["close"] = True
             if getattr(args, "classes", False):
                 payload["classes"] = True
+            seed = getattr(args, "seed", None)
+            samples = getattr(args, "samples", None)
             quad = payload.get("quad")
-            if ((args.seed is not None or args.samples is not None)
-                    and "quad" in _FIELDS[args.mode]
+            if ((seed is not None or samples is not None)
                     and (quad is None or isinstance(quad, dict))):
                 quad = dict(quad or {})
-                if args.seed is not None:
-                    quad["seed"] = args.seed
-                if args.samples is not None:
-                    quad["samples"] = args.samples
+                if seed is not None:
+                    quad["seed"] = seed
+                if samples is not None:
+                    quad["samples"] = samples
                 payload["quad"] = quad
         record = run(Scenario(mode=args.mode, payload=payload))
         if args.csv:

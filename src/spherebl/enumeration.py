@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 
 from .errors import CapExceededError
 from .exponents import BalancedType, j_max
-from .symmetry import Symmetry
+from .symmetry import MultiIndex, Symmetry
 
 DEFAULT_CAP = 10**6
 
@@ -24,22 +24,24 @@ def iter_symmetries(t: BalancedType) -> Iterator[Symmetry]:
     """Yield every ordered block assignment of type ``t``.
 
     Emission is lexicographic on the tuple of blocks (each block a sorted
-    index tuple), which makes reports reproducible.
+    index tuple), which makes reports reproducible.  Blocks are coordinate
+    masks: the combinations of the remaining coordinates' bits, taken
+    smallest coordinate (highest bit) first, come out in that order.
     """
+    n = t.n
 
-    def assign(remaining: tuple[int, ...], lengths: tuple[int, ...]):
+    def assign(remaining: int, lengths: tuple[int, ...]):
         if not lengths:
             yield ()
             return
-        for block in itertools.combinations(remaining, lengths[0]):
-            chosen = set(block)
-            rest = tuple(i for i in remaining if i not in chosen)
-            for tail in assign(rest, lengths[1:]):
+        bits = [1 << k for k in range(remaining.bit_length() - 1, -1, -1)
+                if remaining >> k & 1]
+        for block in map(sum, itertools.combinations(bits, lengths[0])):
+            for tail in assign(remaining ^ block, lengths[1:]):
                 yield (block,) + tail
 
-    indices = tuple(range(1, t.n + 1))
-    for blocks in assign(indices, t.lengths):
-        yield Symmetry.from_blocks(t.n, blocks)
+    for masks in assign((1 << n) - 1, t.lengths):
+        yield Symmetry.of(n, [MultiIndex.from_mask(n, m) for m in masks])
 
 
 def enumerate_symmetries(t: BalancedType, cap: int = DEFAULT_CAP) -> list[Symmetry]:
@@ -57,10 +59,12 @@ def canonical_classes(fams: Sequence[Symmetry]) -> list[list[Symmetry]]:
 
     For a full balanced family every class has size overcount_factor and
     there are j_max / overcount_factor classes.  Classes are ordered by
-    their canonical representative; members keep their input order.
+    their canonical representative (the tuple of its block masks, which
+    orders like the tuple of its 0/1 vectors); members keep their input
+    order.
     """
     groups: dict = {}
     for s in fams:
-        key = tuple(a.bits for a in s.canonical().alphas)
+        key = tuple(a.mask for a in s.canonical().alphas)
         groups.setdefault(key, []).append(s)
     return [groups[k] for k in sorted(groups)]

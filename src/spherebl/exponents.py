@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateFamilyError, DimensionMismatchError, NonPositiveDeltaError
-from .symmetry import MAX_DIMENSION, Symmetry, complete_edges
+from .symmetry import MAX_DIMENSION, Symmetry
 
 #: Balanced reports materialise one exponent entry per family member only
 #: below this family size; beyond it the (constant) list is collapsed to a
@@ -89,39 +89,45 @@ class BalancedType:
         return cls(data["n"], tuple(data["lengths"]))
 
 
-def _family_edge_counts(fams: Sequence[Symmetry]) -> tuple[list[frozenset], dict]:
-    """Each member's edge set, and per basis field the number of members
-    not containing it."""
+def _family_edge_counts(fams: Sequence[Symmetry]) -> tuple[list[int], list[int]]:
+    """Each member's edge bitset, and per basis field the number of members
+    not containing it (indexed by the field's bit, see :mod:`.symmetry`)."""
     if not fams:
         raise ValueError("empty symmetry family")
     n = fams[0].n
     for s in fams:
         if s.n != n:
             raise DimensionMismatchError(f"family mixes dimensions {n} and {s.n}")
-    edge_sets = [s.edges().edges for s in fams]
-    counts = {
-        e: sum(1 for es in edge_sets if e not in es)
-        for e in complete_edges(n)
-    }
-    return edge_sets, counts
+    edge_bits = [s.edge_bits() for s in fams]
+    counts = [len(fams)] * math.comb(n, 2)
+    for bits in edge_bits:
+        while bits:
+            low = bits & -bits
+            counts[low.bit_length() - 1] -= 1
+            bits ^= low
+    return edge_bits, counts
 
 
-def _uniform(counts: dict) -> int:
-    p = max(counts.values())
+def _uniform(counts: list[int]) -> int:
+    p = max(counts)
     if p == 0:
         raise DegenerateFamilyError(
             "every field lies in every member; all symmetric functions are constant")
     return p
 
 
-def _per_function(edge_sets: list[frozenset], counts: dict) -> list[int]:
+def _per_function(edge_bits: list[int], counts: list[int]) -> list[int]:
+    levels: dict[int, int] = {}  # count -> bitset of the fields with that count
+    for k, c in enumerate(counts):
+        levels[c] = levels.get(c, 0) | 1 << k
+    ranked = sorted(levels.items(), reverse=True)
     out = []
-    for j, inside in enumerate(edge_sets):
-        comp = [c for e, c in counts.items() if e not in inside]
-        if not comp:
+    for j, inside in enumerate(edge_bits):
+        p = next((c for c, fields in ranked if fields & ~inside), None)
+        if p is None:
             raise DegenerateFamilyError(
                 f"family member {j} contains every field; its function is constant")
-        out.append(max(comp))
+        out.append(p)
     return out
 
 
@@ -383,13 +389,12 @@ def report_for_family(fams: Sequence[Symmetry]) -> ExponentReport:
     The ordering overcount is only meaningful when all members share one
     length profile; mixed families get the neutral factor 1.
     """
-    edge_sets, counts = _family_edge_counts(fams)
-    per = _per_function(edge_sets, counts)
+    edge_bits, counts = _family_edge_counts(fams)
+    per = _per_function(edge_bits, counts)
     profiles = {s.length_profile() for s in fams}
-    if len(profiles) == 1:
-        over = math.prod(math.factorial(c) for c in Counter(next(iter(profiles))).values())
-    else:
-        over = 1
+    over = 1
+    if len(profiles) == 1:  # a valid type: _per_function rejects a one-block full graph
+        over = overcount_factor(BalancedType(fams[0].n, profiles.pop()))
     return ExponentReport(
         p_uniform=_uniform(counts),
         p_per_function=tuple(per),

@@ -17,6 +17,19 @@ block.  A smooth function on the sphere annihilated by the subset is
 invariant under rotations inside each block; it depends only on the block
 radii and the free coordinates.
 
+Internally everything is an integer bitmask, read most significant bit
+first:
+
+* a coordinate set (``MultiIndex.mask``) holds coordinate i at bit n - i,
+  so its n-digit binary string is the 0/1 vector ``bits``, and comparing
+  masks of one dimension compares those vectors lexicographically;
+* an edge bitset holds the k-th edge of :func:`complete_edges` at bit
+  C(n, 2) - 1 - k, i.e. edge (i, j) at bit C(n - i, 2) + n - j, so its
+  C(n, 2)-digit binary string is the indicator over ``complete_edges(n)``.
+
+Disjointness, unions, complements and sizes are then single integer
+operations (``&``, ``|``, ``^``, ``int.bit_count``).
+
 Vertex labels and multi-index positions are 1-based everywhere in the
 public interface, matching the JSON wire format.
 """
@@ -25,12 +38,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
+from math import comb
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, EmptySymmetryError, NotMaximalError
 
-#: Multi-indices are packable into one machine word below this bound; counts
-#: use Python integers and never overflow regardless.
+#: A coordinate mask has one bit per coordinate and fits one machine word
+#: below this bound; counts use Python integers and never overflow.
 MAX_DIMENSION = 64
 
 
@@ -43,57 +58,87 @@ def _check_dimension(n: int) -> None:
         raise ValueError(f"ambient dimension capped at {MAX_DIMENSION}, got {n}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class MultiIndex:
-    """A 0/1 vector of length ``n`` marking a coordinate block."""
+    """A 0/1 vector of length ``n`` marking a coordinate block, stored as
+    ``mask`` (coordinate i at bit n - i)."""
 
     n: int
-    bits: tuple[int, ...]
+    mask: int
 
-    def __post_init__(self):
-        _check_dimension(self.n)
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
-        if len(self.bits) != self.n:
-            raise ValueError(f"expected {self.n} bits, got {len(self.bits)}")
-        if any(b not in (0, 1) for b in self.bits):
+    def __init__(self, n: int, bits: Sequence[int]):
+        bits = tuple(int(b) for b in bits)
+        if len(bits) != n:
+            raise ValueError(f"expected {n} bits, got {len(bits)}")
+        if any(b not in (0, 1) for b in bits):
             raise ValueError("bits must be 0 or 1")
+        mask = 0
+        for b in bits:
+            mask = mask << 1 | b
+        _init(self, n, mask)
+
+    @classmethod
+    def from_mask(cls, n: int, mask: int) -> "MultiIndex":
+        """Build from a mask holding coordinate i at bit n - i."""
+        self = object.__new__(cls)
+        _init(self, n, mask)
+        return self
 
     @classmethod
     def from_support(cls, n: int, indices: Iterable[int]) -> "MultiIndex":
         """Build from 1-based coordinate indices."""
-        idx = set(indices)
-        if any(i < 1 or i > n for i in idx):
-            raise ValueError(f"support indices must lie in [1, {n}]")
-        return cls(n, tuple(1 if i + 1 in idx else 0 for i in range(n)))
-
-    @classmethod
-    def zeros(cls, n: int) -> "MultiIndex":
-        return cls(n, (0,) * n)
+        mask = 0
+        for i in indices:
+            if not 1 <= i <= n:
+                raise ValueError(f"support indices must lie in [1, {n}]")
+            mask |= 1 << (n - i)
+        return cls.from_mask(n, mask)
 
     @classmethod
     def ones(cls, n: int) -> "MultiIndex":
-        return cls(n, (1,) * n)
+        return cls.from_mask(n, (1 << n) - 1)
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        return _bits(self.n, self.mask)
 
     @property
     def weight(self) -> int:
         """Number of marked coordinates."""
-        return sum(self.bits)
+        return self.mask.bit_count()
 
     def support(self) -> tuple[int, ...]:
         """Marked coordinates, 1-based, ascending."""
-        return tuple(i + 1 for i, b in enumerate(self.bits) if b)
+        n, mask = self.n, self.mask
+        return tuple(i for i in range(1, n + 1) if mask >> (n - i) & 1)
 
     def complement(self) -> "MultiIndex":
-        return MultiIndex(self.n, tuple(1 - b for b in self.bits))
+        return MultiIndex.from_mask(self.n, self.mask ^ ((1 << self.n) - 1))
 
     def dot(self, other: "MultiIndex") -> int:
         if self.n != other.n:
             raise DimensionMismatchError(
                 f"multi-indices of dimension {self.n} and {other.n}")
-        return sum(a * b for a, b in zip(self.bits, other.bits))
+        return (self.mask & other.mask).bit_count()
 
     def to_list(self) -> list[int]:
         return list(self.bits)
+
+    def __repr__(self) -> str:
+        return f"MultiIndex({self.n}, {self.bits})"
+
+
+@lru_cache(maxsize=4096)  # the blocks of a family repeat across its members
+def _bits(n: int, mask: int) -> tuple[int, ...]:
+    return tuple([mask >> k & 1 for k in range(n - 1, -1, -1)])
+
+
+def _init(a: MultiIndex, n: int, mask: int) -> None:
+    _check_dimension(n)
+    if not isinstance(mask, int) or mask < 0 or mask >> n:
+        raise ValueError(f"mask must be an integer in [0, 2^{n})")
+    object.__setattr__(a, "n", n)
+    object.__setattr__(a, "mask", mask)
 
 
 def orthogonal(a: MultiIndex, b: MultiIndex) -> bool:
@@ -132,7 +177,7 @@ class EdgeSet:
 
     @classmethod
     def full(cls, n: int) -> "EdgeSet":
-        return cls(n, frozenset(itertools.combinations(range(1, n + 1), 2)))
+        return cls(n, frozenset(complete_edges(n)))
 
     def __contains__(self, edge) -> bool:
         return tuple(edge) in self.edges
@@ -156,31 +201,54 @@ def complete_edges(n: int) -> list[tuple[int, int]]:
     return list(itertools.combinations(range(1, n + 1), 2))
 
 
-def _components(A: EdgeSet) -> list[tuple[int, ...]]:
-    """Connected components of the graph ([n], edges), as sorted tuples.
+def _clique_bits(mask: int) -> int:
+    """Edge bitset of the clique on a coordinate mask.
 
-    Isolated vertices come back as singletons.
+    Removing the smallest coordinate i (the top bit, n - i) leaves the
+    block's coordinates j > i at bits n - j, which are exactly the offsets
+    of the edges (i, j) above row i's base C(n - i, 2).
     """
-    adj: dict[int, set[int]] = {v: set() for v in range(1, A.n + 1)}
+    bits = 0
+    while mask:
+        row = mask.bit_length() - 1  # n - i for the smallest coordinate i
+        mask ^= 1 << row
+        bits |= mask << comb(row, 2)
+    return bits
+
+
+def _edge_bits(A: EdgeSet) -> int:
+    return sum(1 << (comb(A.n - i, 2) + A.n - j) for i, j in A.edges)
+
+
+def _edge_set(n: int, bits: int) -> EdgeSet:
+    edges = reversed(complete_edges(n))  # bit k holds the k-th edge from the end
+    return EdgeSet(n, frozenset(e for k, e in enumerate(edges) if bits >> k & 1))
+
+
+def _components(A: EdgeSet) -> list[int]:
+    """Vertex masks of the connected components of ([n], edges), ordered by
+    smallest vertex.  Isolated vertices come back as singletons."""
+    n = A.n
+    adj = [0] * n  # adj[n - v]: neighbours of vertex v
     for i, j in A.edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    seen: set[int] = set()
+        adj[n - i] |= 1 << (n - j)
+        adj[n - j] |= 1 << (n - i)
     comps = []
-    for v in range(1, A.n + 1):
-        if v in seen:
-            continue
-        stack, comp = [v], []
-        seen.add(v)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(tuple(sorted(comp)))
+    left = (1 << n) - 1
+    while left:
+        comp = frontier = 1 << (left.bit_length() - 1)
+        while frontier:
+            low = frontier & -frontier
+            new = adj[low.bit_length() - 1] & ~comp
+            comp |= new
+            frontier = (frontier ^ low) | new
+        comps.append(comp)
+        left &= ~comp
     return comps
+
+
+def _closure_bits(A: EdgeSet) -> int:
+    return sum(map(_clique_bits, _components(A)))  # disjoint cliques: sum == union
 
 
 def lie_closure(A: EdgeSet) -> EdgeSet:
@@ -189,19 +257,15 @@ def lie_closure(A: EdgeSet) -> EdgeSet:
     Two edges sharing a vertex bracket to the edge closing the triangle, so
     the closure is the union of cliques over the connected components.
     """
-    closed: set[tuple[int, int]] = set()
-    for comp in _components(A):
-        if len(comp) >= 2:
-            closed.update(itertools.combinations(comp, 2))
-    return EdgeSet(A.n, frozenset(closed))
+    return _edge_set(A.n, _closure_bits(A))
 
 
 def is_maximal(A: EdgeSet) -> bool:
     """True when ``A`` equals its Lie closure."""
-    return lie_closure(A).edges == A.edges
+    return _closure_bits(A) == _edge_bits(A)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Symmetry:
     """Block decomposition of a maximal subset.
 
@@ -226,27 +290,30 @@ class Symmetry:
         object.__setattr__(self, "alphas", tuple(self.alphas))
         if not self.alphas:
             raise ValueError("a symmetry needs at least one block")
+        union, last = 0, self.n
         for a in self.alphas:
             if a.n != self.n:
                 raise DimensionMismatchError(
                     f"block of dimension {a.n} inside symmetry of dimension {self.n}")
-            if a.weight < 2:
+            weight = a.mask.bit_count()
+            if weight < 2:
                 raise ValueError("every block must contain at least 2 coordinates")
-        weights = [a.weight for a in self.alphas]
-        if any(weights[i] < weights[i + 1] for i in range(len(weights) - 1)):
-            raise ValueError("block weights must be weakly decreasing")
-        for a, b in itertools.combinations(self.alphas, 2):
-            if not orthogonal(a, b):
+            if weight > last:
+                raise ValueError("block weights must be weakly decreasing")
+            if union & a.mask:
                 raise ValueError("blocks must be pairwise disjoint")
-        if sum(weights) > self.n:
-            raise ValueError("blocks cannot cover more than n coordinates")
-        expected = _residual_mask(self.n, self.alphas)
-        if self.r_mask.bits != expected.bits:
+            union |= a.mask
+            last = weight
+        # disjoint blocks inside n bits cover at most n coordinates
+        if self.r_mask.n != self.n or self.r_mask.mask != union ^ ((1 << self.n) - 1):
             raise ValueError("r_mask inconsistent with the blocks")
 
     @classmethod
     def of(cls, n: int, alphas: Sequence[MultiIndex]) -> "Symmetry":
-        return cls(n, tuple(alphas), _residual_mask(n, alphas))
+        union = 0
+        for a in alphas:
+            union |= a.mask
+        return cls(n, tuple(alphas), MultiIndex.from_mask(n, ((1 << n) - 1) & ~union))
 
     @classmethod
     def from_blocks(cls, n: int, blocks: Sequence[Sequence[int]]) -> "Symmetry":
@@ -259,21 +326,20 @@ class Symmetry:
     def length_profile(self) -> tuple[int, ...]:
         return tuple(a.weight for a in self.alphas)
 
+    def edge_bits(self) -> int:
+        """Edge bitset of the maximal subset: the cliques on the blocks."""
+        return sum(_clique_bits(a.mask) for a in self.alphas)
+
     def edges(self) -> EdgeSet:
         """The maximal subset this symmetry decomposes: cliques on the blocks."""
-        es: set[tuple[int, int]] = set()
-        for a in self.alphas:
-            es.update(itertools.combinations(a.support(), 2))
-        return EdgeSet(self.n, frozenset(es))
+        return _edge_set(self.n, self.edge_bits())
 
     def is_canonical(self) -> bool:
-        key = [(-a.weight, a.support()[0]) for a in self.alphas]
-        return key == sorted(key)
+        return list(self.alphas) == _canonical_order(self.alphas)
 
     def canonical(self) -> "Symmetry":
         """Reorder equal-weight blocks by smallest contained index."""
-        ordered = sorted(self.alphas, key=lambda a: (-a.weight, a.support()[0]))
-        return Symmetry(self.n, tuple(ordered), self.r_mask)
+        return Symmetry(self.n, tuple(_canonical_order(self.alphas)), self.r_mask)
 
     def to_dict(self) -> dict:
         return {
@@ -291,15 +357,10 @@ class Symmetry:
         return sym
 
 
-def _residual_mask(n: int, alphas: Sequence[MultiIndex]) -> MultiIndex:
-    # complement(alpha_1) - sum of the remaining blocks, componentwise
-    bits = list(alphas[0].complement().bits)
-    for a in alphas[1:]:
-        for i, b in enumerate(a.bits):
-            bits[i] -= b
-    if any(b < 0 for b in bits):
-        raise ValueError("overlapping blocks leave a negative residual mask")
-    return MultiIndex(n, tuple(bits))
+def _canonical_order(alphas: Iterable[MultiIndex]) -> list[MultiIndex]:
+    # of two disjoint blocks, the one with the smaller first index has the
+    # larger mask
+    return sorted(alphas, key=lambda a: (-a.mask.bit_count(), -a.mask))
 
 
 def decompose(A: EdgeSet) -> Symmetry:
@@ -316,6 +377,5 @@ def decompose(A: EdgeSet) -> Symmetry:
     if not is_maximal(A):
         raise NotMaximalError(
             "edge set is not bracket-closed; apply lie_closure first")
-    comps = [c for c in _components(A) if len(c) >= 2]
-    comps.sort(key=lambda c: (-len(c), c[0]))
-    return Symmetry.of(A.n, [MultiIndex.from_support(A.n, c) for c in comps])
+    blocks = [MultiIndex.from_mask(A.n, c) for c in _components(A) if c.bit_count() >= 2]
+    return Symmetry.of(A.n, _canonical_order(blocks))

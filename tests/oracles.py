@@ -96,6 +96,36 @@ def ordered_block_assignments(n: int, lengths: tuple[int, ...]) -> set:
     return out
 
 
+def ordered_block_tuples(n: int, lengths: tuple[int, ...]) -> list[tuple]:
+    """Every ordered tuple of disjoint sorted index blocks with the given
+    sizes, in lexicographic order: the recursion over index tuples and
+    ``itertools.combinations`` that enumerated families before blocks were
+    bitmasks.  The order is part of the reports, so it is kept here as the
+    reference."""
+
+    def assign(remaining: tuple[int, ...], sizes: tuple[int, ...]):
+        if not sizes:
+            yield ()
+            return
+        for block in itertools.combinations(remaining, sizes[0]):
+            rest = tuple(i for i in remaining if i not in block)
+            for tail in assign(rest, sizes[1:]):
+                yield (block,) + tail
+
+    return list(assign(tuple(range(1, n + 1)), tuple(lengths)))
+
+
+def class_order_by_vectors(n: int, members: list[tuple]) -> list[list[tuple]]:
+    """Group block tuples that differ only by the order of equal-size blocks,
+    and order the groups by the 0/1 vectors of their canonical blocks."""
+    groups: dict = {}
+    for blocks in members:
+        canon = sorted(blocks, key=lambda b: (-len(b), b[0]))
+        key = tuple(tuple(1 if i in b else 0 for i in range(1, n + 1)) for b in canon)
+        groups.setdefault(key, []).append(blocks)
+    return [groups[k] for k in sorted(groups)]
+
+
 def exponent_by_counting(families_edges: list[frozenset]) -> int:
     """Most recurrent missing edge, counted naively over explicit edge sets."""
     n_edges = set()

@@ -1,8 +1,11 @@
 import contextlib
 import copy
+import hashlib
 import io
+import itertools
 import json
 import math
+import re
 from unittest import mock
 
 import pytest
@@ -346,12 +349,45 @@ class TestUnknownFields:
         assert capsys.readouterr().err.startswith("error: sampels: unknown field")
 
     @pytest.mark.parametrize("mode, flags", [
-        ("decompose", ["--close", "--seed", "3"]),
-        ("enumerate", ["--classes", "--samples", "1000"]),
-        ("identities", ["--seed", "3"]),
+        ("decompose", ["--close"]),
+        ("enumerate", ["--classes"]),
+        ("verify-local", ["--seed", "3", "--samples", "1000"]),
     ])
     def test_keys_set_by_flags_are_known(self, tmp_path, mode, flags):
         assert main([mode, write(tmp_path, "s.json", self.VALID[mode])] + flags) == 0
+
+    @pytest.mark.parametrize("flag", ["--seed", "--samples"])
+    @pytest.mark.parametrize("mode", ["decompose", "exponents", "enumerate", "identities"])
+    def test_quadrature_flags_need_a_quadrature_mode(self, tmp_path, capsys, mode, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([mode, write(tmp_path, "s.json", self.VALID[mode]), flag, "3"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
+
+class TestWireFormat:
+    """Golden hashes of two records (wall time masked), taken before the
+    exact core moved to bitmasks: any change to the bytes fails here."""
+
+    WALL_TIME = re.compile(r'"wall_time_s": [^,\n]*')
+
+    def record_hash(self, tmp_path, capsys, argv, payload):
+        assert main([argv[0], write(tmp_path, "s.json", payload), "--json"] + argv[1:]) == 0
+        text = self.WALL_TIME.sub('"wall_time_s": 0', capsys.readouterr().out, count=1)
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def test_enumerate_classes_record(self, tmp_path, capsys):
+        digest = self.record_hash(tmp_path, capsys, ["enumerate", "--classes"],
+                                  {"n": 6, "lengths": [2, 2]})
+        assert digest == "54c8d33490b8424bf2c2aba7c4350f0988d24c78be2eaabf7db8fdf8677aef15"
+
+    def test_exponents_family_record(self, tmp_path, capsys):
+        family = [{"n": 6, "edges": [list(a), list(b)]}
+                  for a in itertools.combinations(range(1, 7), 2)
+                  for b in itertools.combinations([i for i in range(1, 7) if i not in a], 2)]
+        family.append({"n": 6, "edges": [[1, 2], [1, 3], [2, 3], [4, 5]]})
+        digest = self.record_hash(tmp_path, capsys, ["exponents"], family)
+        assert digest == "9d5488728988571abc077cfbf56ad4a64a4db14372fc634e72f1ebbc92871ec0"
 
 
 class TestWorkersSetting:
@@ -437,6 +473,7 @@ def test_mutated_readme_scenarios_never_raise(scenario):
     with mock.patch("sys.stdin", io.StringIO(json.dumps(payload))), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         # the override keeps every Monte Carlo run at 1,000 samples
-        code = main([mode, "-", "--json", "--samples", "1000"])
+        flags = ["--samples", "1000"] if mode.startswith("verify-") else []
+        code = main([mode, "-", "--json"] + flags)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()

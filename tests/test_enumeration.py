@@ -3,6 +3,7 @@ import pytest
 from spherebl import (
     BalancedType,
     CapExceededError,
+    balanced_types_upto,
     canonical_classes,
     decompose,
     edge_membership_count,
@@ -10,6 +11,8 @@ from spherebl import (
     j_max,
     overcount_factor,
 )
+from spherebl.enumeration import iter_symmetries
+from oracles import class_order_by_vectors, ordered_block_tuples
 
 
 def test_three_blocks_on_3():
@@ -79,3 +82,14 @@ def test_class_counts():
         classes = canonical_classes(fams)
         assert len(classes) == j_max(t) // overcount_factor(t)
         assert all(len(c) == overcount_factor(t) for c in classes)
+
+
+def test_matches_tuple_construction_in_order():
+    # every balanced type with n <= 7: the same members, in the same order
+    for t in balanced_types_upto(7):
+        expected = ordered_block_tuples(t.n, t.lengths)
+        fams = list(iter_symmetries(t))
+        assert [s.blocks() for s in fams] == expected
+        classes = canonical_classes(fams)
+        assert [[s.blocks() for s in c] for c in classes] == \
+            class_order_by_vectors(t.n, expected)

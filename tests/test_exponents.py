@@ -225,8 +225,9 @@ class TestReports:
     def test_family_report_builds_each_edge_set_once(self, monkeypatch):
         fams = enumerate_symmetries(BalancedType(5, (2, 2)))
         built = []
-        edges = Symmetry.edges
-        monkeypatch.setattr(Symmetry, "edges", lambda s: built.append(s) or edges(s))
+        edge_bits = Symmetry.edge_bits
+        monkeypatch.setattr(Symmetry, "edge_bits",
+                            lambda s: built.append(s) or edge_bits(s))
         rep = report_for_family(fams)
         assert len(built) == len(fams)
         assert rep.p_uniform == uniform_exponent(fams)
