@@ -3,18 +3,22 @@
 One subcommand per mode; every input beyond the global flags lives in a
 scenario JSON file so runs are reproducible by passing the same file
 around.  Every report embeds the scenario it came from.  Exit codes:
-0 pass (or informational mode), 2 verification failure, 1 input error.
+0 pass (or informational mode), 2 verification failure, 1 input or usage
+error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import functools
 import json
 import math
 import sys
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Any, Sequence
 
 from . import __version__
@@ -30,6 +34,8 @@ from .exponents import (
     report_for_type,
 )
 from .extremal import (
+    DivergenceReport,
+    GrowthReport,
     default_eps_grid,
     default_r_grid,
     local_growth_experiment,
@@ -45,7 +51,7 @@ from .quadrature import (
     _worker_limit,
     holder_verify_sets,
 )
-from .symmetry import EdgeSet, Symmetry, decompose, lie_closure
+from .symmetry import EdgeSet, MultiIndex, Symmetry, decompose, lie_closure
 
 MODES = ("decompose", "exponents", "enumerate", "identities",
          "verify-holder", "verify-sharpness", "verify-local")
@@ -72,13 +78,11 @@ class Scenario:
     mode: str
     payload: dict
 
-    def to_dict(self) -> dict:
-        return {"mode": self.mode, "payload": self.payload}
-
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Self-describing result envelope written by every run."""
+    """Self-describing result envelope written by every run; ``results``
+    holds the result objects, which :func:`_encode` turns into JSON values."""
 
     scenario: Scenario
     tool_version: str
@@ -87,15 +91,46 @@ class RunRecord:
     results: dict
     passed: bool | None
 
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario.to_dict(),
-            "tool_version": self.tool_version,
-            "rng_algorithm": self.rng_algorithm,
-            "wall_time_s": self.wall_time_s,
-            "results": self.results,
-            "passed": self.passed,
-        }
+
+# --- record encoding ----------------------------------------------------------
+
+#: The two wire keys that differ from their field names: ``Symmetry.r_mask``
+#: is written as ``r``, and the experiment reports lead with their kind.
+_RENAMED = {"r_mask": "r"}
+_KIND = {DivergenceReport: "divergence", GrowthReport: "growth"}
+
+
+@functools.cache
+def _wire_fields(cls: type) -> tuple[tuple[str, str], ...]:
+    return tuple((f.name, _RENAMED.get(f.name, f.name)) for f in dataclasses.fields(cls))
+
+
+def _encode(value: Any) -> Any:
+    """The plain JSON values of a result, built eagerly for ``json.dump``.
+
+    Dicts, lists and tuples are walked; a ``MultiIndex`` becomes its 0/1
+    list, a ``frozenset`` a sorted list, a ``Fraction`` ``{"num", "den"}``
+    and a dataclass a dict of its fields in declaration order.
+    """
+    if isinstance(value, MultiIndex):  # the most frequent value of a record
+        return list(value.bits)
+    if isinstance(value, (str, int, float, type(None))):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _encode(v) for k, v in value.items()}
+    if dataclasses.is_dataclass(value):
+        cls = type(value)
+        out = {"kind": _KIND[cls]} if cls in _KIND else {}
+        for name, key in _wire_fields(cls):
+            out[key] = _encode(getattr(value, name))
+        return out
+    if isinstance(value, frozenset):
+        return [_encode(v) for v in sorted(value)]
+    if isinstance(value, Fraction):
+        return {"num": value.numerator, "den": value.denominator}
+    raise TypeError(f"no JSON form for {type(value).__name__}")
 
 
 # --- payload validation -------------------------------------------------------
@@ -124,17 +159,18 @@ def _number(value: Any, path: str, integer: bool = False) -> float | int:
 
 def _edge_set(data: Any, path: str) -> EdgeSet:
     _require(isinstance(data, dict), path, "expected an object with n and edges")
-    _require(isinstance(data.get("n"), int), f"{path}.n", "integer dimension required")
+    at = f"{path}." if path else ""
+    n = _number(data.get("n"), f"{at}n", integer=True)
     edges = data.get("edges")
-    _require(isinstance(edges, list), f"{path}.edges", "list of [i, j] pairs required")
-    n = data["n"]
+    _require(isinstance(edges, list), f"{at}edges", "list of [i, j] pairs required")
     pairs = []
     for k, e in enumerate(edges):
-        epath = f"{path}.edges[{k}]" if path else f"edges[{k}]"
+        epath = f"{at}edges[{k}]"
         _require(isinstance(e, (list, tuple)) and len(e) == 2,
                  epath, "expected a pair [i, j]")
         i, j = e
-        _require(isinstance(i, int) and isinstance(j, int), epath, "integers required")
+        # exact type, not isinstance: a JSON boolean is no index
+        _require(type(i) is int and type(j) is int, epath, "integers required")
         _require(i < j, epath, "i<j required")
         _require(1 <= i and j <= n, epath, f"indices must lie in [1, {n}]")
         pairs.append((i, j))
@@ -146,15 +182,16 @@ def _edge_set(data: Any, path: str) -> EdgeSet:
 
 def _balanced_type(data: Any, path: str) -> BalancedType:
     _require(isinstance(data, dict), path, "expected an object with n and lengths")
-    _require(isinstance(data.get("n"), int), f"{path}.n", "integer dimension required")
+    at = f"{path}." if path else ""
+    n = _number(data.get("n"), f"{at}n", integer=True)
     lengths = data.get("lengths")
     _require(isinstance(lengths, list) and lengths
              and all(isinstance(a, int) and not isinstance(a, bool) for a in lengths),
-             f"{path}.lengths", "nonempty list of integer block lengths required")
+             f"{at}lengths", "nonempty list of integer block lengths required")
     try:
-        return BalancedType(data["n"], tuple(data["lengths"]))
+        return BalancedType(n, tuple(lengths))
     except ValueError as exc:
-        raise InputError(f"{path}.lengths", str(exc)) from exc
+        raise InputError(f"{at}lengths", str(exc)) from exc
 
 
 def _quad_config(data: Any, path: str) -> QuadConfig:
@@ -185,15 +222,21 @@ def _grid(data: Any, path: str, default: list[float], decreasing: bool) -> list[
         _require(all(v > 0 for v in vals), path, "grid values must be positive")
         return sorted(vals, reverse=decreasing)
     if isinstance(data, dict) and data.get("kind") == "dyadic":
-        lo, hi = data.get("min_exp"), data.get("max_exp")
-        _require(isinstance(lo, int) and isinstance(hi, int) and lo < hi,
-                 path, "dyadic grid needs integer min_exp < max_exp")
+        lo = _number(data.get("min_exp"), f"{path}.min_exp", integer=True)
+        hi = _number(data.get("max_exp"), f"{path}.max_exp", integer=True)
+        _require(lo < hi, path, "dyadic grid needs min_exp < max_exp")
         _require(-_DYADIC_EXP <= lo and hi <= _DYADIC_EXP, path,
                  f"dyadic exponents must lie in [-{_DYADIC_EXP}, {_DYADIC_EXP}]")
         if decreasing:
             return [2.0**-k for k in range(lo, hi + 1)]
         return [2.0**k for k in range(lo, hi + 1)]
     raise InputError(path, "expected a list of values or a dyadic spec")
+
+
+def _flag(payload: dict, key: str) -> bool:
+    value = payload.get(key, False)
+    _require(isinstance(value, bool), key, "true or false required")
+    return value
 
 
 def _cap(payload: dict) -> int:
@@ -210,13 +253,12 @@ def _enumerate(t: BalancedType, path: str, cap: int = DEFAULT_CAP) -> list[Symme
         raise InputError(path, str(exc)) from exc
 
 
-def _family_from_payload(payload: dict, path_root: str = "") -> list[Symmetry]:
-    fams_data = payload.get("families")
-    path = f"{path_root}families" if path_root else "families"
-    _require(isinstance(fams_data, list) and fams_data, path,
+def _family(items: Any, path: str) -> list[Symmetry]:
+    """Decompose each edge set of the family list at ``path``."""
+    _require(isinstance(items, list) and items, path or "input",
              "nonempty list of edge sets required")
     out = []
-    for k, item in enumerate(fams_data):
+    for k, item in enumerate(items):
         es = _edge_set(item, f"{path}[{k}]")
         try:
             out.append(decompose(es))
@@ -230,58 +272,44 @@ def _family_from_payload(payload: dict, path_root: str = "") -> list[Symmetry]:
 
 def _run_decompose(payload: dict) -> tuple[dict, bool | None]:
     es = _edge_set(payload, "")
-    if payload.get("close"):
+    if _flag(payload, "close"):
         es = lie_closure(es)
     try:
         sym = decompose(es)
     except ValueError as exc:
         raise InputError("edges", str(exc)) from exc
-    return {"symmetry": sym.to_dict(), "edges_closed": es.to_dict()}, None
+    return {"symmetry": sym, "edges_closed": es}, None
 
 
 def _run_exponents(payload: Any) -> tuple[dict, bool | None]:
-    if isinstance(payload, list):
-        fams = []
-        for k, item in enumerate(payload):
-            es = _edge_set(item, f"[{k}]")
-            try:
-                fams.append(decompose(es))
-            except ValueError as exc:
-                raise InputError(f"[{k}]", str(exc)) from exc
+    path = "families" if isinstance(payload, dict) and "families" in payload else ""
+    if path or isinstance(payload, list):
+        fams = _family(payload[path] if path else payload, path)
         try:
             report = report_for_family(fams)
         except ValueError as exc:
-            raise InputError("input", str(exc)) from exc
-        return {"report": report.to_dict(), "input_kind": "family"}, None
-    if isinstance(payload, dict) and "families" in payload:
-        fams = _family_from_payload(payload)
-        try:
-            report = report_for_family(fams)
-        except ValueError as exc:
-            raise InputError("families", str(exc)) from exc
-        return {"report": report.to_dict(), "input_kind": "family"}, None
+            raise InputError(path or "input", str(exc)) from exc
+        return {"report": report, "input_kind": "family"}, None
     t = _balanced_type(payload, "")
-    return {"report": report_for_type(t).to_dict(),
-            "input_kind": "balanced", "type": t.to_dict()}, None
+    return {"report": report_for_type(t), "input_kind": "balanced", "type": t}, None
 
 
 def _run_enumerate(payload: dict) -> tuple[dict, bool | None]:
     t = _balanced_type(payload, "")
     fams = _enumerate(t, "cap", _cap(payload))
-    results: dict = {"count": len(fams), "type": t.to_dict()}
-    if payload.get("classes"):
+    results: dict = {"count": len(fams), "type": t}
+    if _flag(payload, "classes"):
         classes = canonical_classes(fams)
-        results["classes"] = [[s.to_dict() for s in cl] for cl in classes]
+        results["classes"] = classes
         results["class_count"] = len(classes)
     else:
-        results["symmetries"] = [s.to_dict() for s in fams]
+        results["symmetries"] = fams
     return results, None
 
 
 def _run_identities(payload: dict) -> tuple[dict, bool | None]:
-    n_max = payload.get("n_max", 10)
-    _require(isinstance(n_max, int) and 3 <= n_max <= 16, "n_max",
-             "integer in [3, 16] required")
+    n_max = _number(payload.get("n_max", 10), "n_max", integer=True)
+    _require(3 <= n_max <= 16, "n_max", "integer in [3, 16] required")
     checks = []
     all_pass = True
     for t in balanced_types_upto(n_max):
@@ -290,7 +318,7 @@ def _run_identities(payload: dict) -> tuple[dict, bool | None]:
         c = identity_critical_gamma(t)
         all_pass = all_pass and a and b and c
         checks.append({
-            "type": t.to_dict(),
+            "type": t,
             "exponent_count": a,
             "partition": b,
             "critical_gamma": c,
@@ -340,7 +368,7 @@ def _run_verify_holder(payload: dict) -> tuple[dict, bool | None]:
         fams = _enumerate(t, "type")
         type_label = f"{t.n},{list(t.lengths)}"
     else:
-        fams = _family_from_payload(payload)
+        fams = _family(payload.get("families"), "families")
         type_label = "family"
     exps = per_function_exponents(fams)
     if "ps" in payload:
@@ -350,9 +378,8 @@ def _run_verify_holder(payload: dict) -> tuple[dict, bool | None]:
         ps = [_number(p, f"ps[{j}]") for j, p in enumerate(ps)]
     else:
         ps = [_number(payload.get("p", max(exps)), "p")] * len(fams)
-    count = payload.get("count", 1)
-    _require(isinstance(count, int) and 1 <= count <= 1000, "count",
-             "integer in [1, 1000] required")
+    count = _number(payload.get("count", 1), "count", integer=True)
+    _require(1 <= count <= 1000, "count", "integer in [1, 1000] required")
     fs_sets = [_holder_functions(payload.get("functions"), fams,
                                  repetition=rep, fallback_seed=quad.seed)
                for rep in range(count)]
@@ -365,7 +392,7 @@ def _run_verify_holder(payload: dict) -> tuple[dict, bool | None]:
     ok = all(r.passed for r in records)
     return {
         "type_label": type_label,
-        "records": [r.to_dict() for r in records],
+        "records": records,
         "all_pass": ok,
     }, ok
 
@@ -386,7 +413,7 @@ def _run_verify_sharpness(payload: dict) -> tuple[dict, bool | None]:
         report = sharpness_experiment(t, p, quad, eps_grid=eps_grid, gamma=gamma, cap=cap)
     except (ValueError, OverflowError, CapExceededError, NonFiniteSampleError) as exc:
         raise InputError("input", str(exc)) from exc
-    return {"report": report.to_dict(), "type": t.to_dict()}, report.passed
+    return {"report": report, "type": t}, report.passed
 
 
 def _run_verify_local(payload: dict) -> tuple[dict, bool | None]:
@@ -394,7 +421,7 @@ def _run_verify_local(payload: dict) -> tuple[dict, bool | None]:
         t = _balanced_type(payload["type"], "type")
         fams = _enumerate(t, "type")
     else:
-        fams = _family_from_payload(payload)
+        fams = _family(payload.get("families"), "families")
     exps = per_function_exponents(fams)
     eta = _number(payload.get("eta", 0.1), "eta")
     _require(eta > 0, "eta", "positive eta required")
@@ -416,7 +443,7 @@ def _run_verify_local(payload: dict) -> tuple[dict, bool | None]:
     passed = report.fitted_slope <= float(report.delta_target) + 3 * report.slope_stderr
     if window is not None:
         passed = passed and window[0] <= report.fitted_slope <= window[1]
-    return {"report": report.to_dict(), "passed": passed}, passed
+    return {"report": report, "passed": passed}, passed
 
 
 _HANDLERS = {
@@ -463,24 +490,23 @@ def emit_csv(record: RunRecord, path: str) -> None:
         if mode == "verify-sharpness":
             writer.writerow(["eps", "lhs", "lhs_stderr", "pass"])
             rep = results["report"]
-            for eps, est in zip(rep["eps_grid"], rep["lhs"]):
-                writer.writerow([repr(eps), repr(est["value"]),
-                                 repr(est["stderr"]), rep["passed"]])
+            for eps, est in zip(rep.eps_grid, rep.lhs):
+                writer.writerow([repr(eps), repr(est.value), repr(est.stderr), rep.passed])
         elif mode == "verify-local":
             writer.writerow(["R", "lhs", "lhs_stderr"])
             rep = results["report"]
-            for r, est in zip(rep["r_grid"], rep["lhs"]):
-                writer.writerow([repr(r), repr(est["value"]), repr(est["stderr"])])
+            for r, est in zip(rep.r_grid, rep.lhs):
+                writer.writerow([repr(r), repr(est.value), repr(est.stderr)])
         elif mode == "verify-holder":
             writer.writerow(["type", "p", "LHS", "RHS", "margin", "pass"])
             for rec in results["records"]:
                 writer.writerow([
                     results["type_label"],
-                    rec["ps"][0] if rec["ps"] else "",
-                    repr(rec["lhs"]["value"]),
-                    repr(rec["rhs_value"]),
-                    repr(rec["margin"]),
-                    rec["passed"],
+                    rec.ps[0] if rec.ps else "",
+                    repr(rec.lhs.value),
+                    repr(rec.rhs_value),
+                    repr(rec.margin),
+                    rec.passed,
                 ])
         else:
             raise InputError("csv", f"mode {mode!r} produces no series data")
@@ -507,13 +533,13 @@ def _summary(record: RunRecord) -> str:
     mode = record.scenario.mode
     res = record.results
     if mode == "decompose":
-        sym = res["symmetry"]
+        sym = _encode(res["symmetry"])
         return f"blocks {sym['alphas']} free {sym['r']}"
     if mode == "exponents":
         rep = res["report"]
-        delta = rep["delta"]
-        return (f"p={rep['p_uniform']} j_count={rep['j_count']} "
-                f"delta={delta['num']}/{delta['den']} overcount={rep['overcount']}")
+        return (f"p={rep.p_uniform} j_count={rep.j_count} "
+                f"delta={rep.delta.numerator}/{rep.delta.denominator} "
+                f"overcount={rep.overcount}")
     if mode == "enumerate":
         extra = f" classes={res['class_count']}" if "class_count" in res else ""
         return f"count={res['count']}{extra}"
@@ -523,13 +549,13 @@ def _summary(record: RunRecord) -> str:
         return f"{len(res['records'])} run(s), all_pass={res['all_pass']}"
     if mode == "verify-sharpness":
         rep = res["report"]
-        return (f"slope={rep['slope']:.4g} (+-{rep['slope_stderr']:.2g}) "
-                f"rhs_converged={rep['rhs_converged']} passed={rep['passed']}")
+        return (f"slope={rep.slope:.4g} (+-{rep.slope_stderr:.2g}) "
+                f"rhs_converged={rep.rhs_converged} passed={rep.passed}")
     if mode == "verify-local":
         rep = res["report"]
-        tgt = rep["delta_target"]
-        return (f"slope={rep['fitted_slope']:.4g} (+-{rep['slope_stderr']:.2g}) "
-                f"target={tgt['num']}/{tgt['den']}")
+        tgt = rep.delta_target
+        return (f"slope={rep.fitted_slope:.4g} (+-{rep.slope_stderr:.2g}) "
+                f"target={tgt.numerator}/{tgt.denominator}")
     return ""
 
 
@@ -563,7 +589,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help or --version
+        if exc.code:
+            return 1
+        raise
     try:
         try:
             _worker_limit()
@@ -571,26 +602,19 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise InputError(_WORKERS_ENV, str(exc)) from exc
         payload = _load_payload(args.scenario)
         if isinstance(payload, dict):
-            if getattr(args, "close", False):
-                payload["close"] = True
-            if getattr(args, "classes", False):
-                payload["classes"] = True
-            seed = getattr(args, "seed", None)
-            samples = getattr(args, "samples", None)
+            for flag in ("close", "classes"):
+                if getattr(args, flag, False):
+                    payload[flag] = True
+            override = {key: value for key in ("seed", "samples")
+                        if (value := getattr(args, key, None)) is not None}
             quad = payload.get("quad")
-            if ((seed is not None or samples is not None)
-                    and (quad is None or isinstance(quad, dict))):
-                quad = dict(quad or {})
-                if seed is not None:
-                    quad["seed"] = seed
-                if samples is not None:
-                    quad["samples"] = samples
-                payload["quad"] = quad
+            if override and (quad is None or isinstance(quad, dict)):
+                payload["quad"] = {**(quad or {}), **override}
         record = run(Scenario(mode=args.mode, payload=payload))
         if args.csv:
             emit_csv(record, args.csv)
         if args.json:
-            json.dump(record.to_dict(), sys.stdout, indent=2)
+            json.dump(_encode(record), sys.stdout, indent=2)
             sys.stdout.write("\n")
         else:
             print(f"{args.mode}: {_summary(record)}")

@@ -81,13 +81,6 @@ class BalancedType:
         """Number of free (single) coordinates."""
         return self.n - sum(self.lengths)
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "lengths": list(self.lengths)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BalancedType":
-        return cls(data["n"], tuple(data["lengths"]))
-
 
 def _family_edge_counts(fams: Sequence[Symmetry]) -> tuple[list[int], list[int]]:
     """Each member's edge bitset, and per basis field the number of members
@@ -343,25 +336,6 @@ class ExponentReport:
             raise ValueError("the uniform exponent cannot exceed the family size")
         if self.delta <= 0:
             raise NonPositiveDeltaError(f"delta = {self.delta} <= 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "p_uniform": self.p_uniform,
-            "p_per_function": list(self.p_per_function),
-            "j_count": self.j_count,
-            "delta": {"num": self.delta.numerator, "den": self.delta.denominator},
-            "overcount": self.overcount,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExponentReport":
-        return cls(
-            p_uniform=data["p_uniform"],
-            p_per_function=tuple(data["p_per_function"]),
-            j_count=data["j_count"],
-            delta=Fraction(data["delta"]["num"], data["delta"]["den"]),
-            overcount=data["overcount"],
-        )
 
 
 def report_for_type(t: BalancedType) -> ExponentReport:

@@ -248,49 +248,6 @@ class DivergenceReport:
         if self.fit_model not in ("power", "log"):
             raise ValueError("fit_model must be 'power' or 'log'")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "divergence",
-            "eps_grid": list(self.eps_grid),
-            "lhs": [e.to_dict() for e in self.lhs],
-            "rhs_norms": [[e.to_dict() for e in row] for row in self.rhs_norms],
-            "fit_model": self.fit_model,
-            "slope": self.slope,
-            "slope_stderr": self.slope_stderr,
-            "classification": self.classification,
-            "gamma": self.gamma,
-            "p": self.p,
-            "rhs_converged": self.rhs_converged,
-            "rhs_rel_change": self.rhs_rel_change,
-            "passed": self.passed,
-            "incr_decay_slope": self.incr_decay_slope,
-            "incr_decay_stderr": self.incr_decay_stderr,
-            "incr_decay_median": self.incr_decay_median,
-            "incr_window_levels": self.incr_window_levels,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DivergenceReport":
-        return cls(
-            eps_grid=tuple(data["eps_grid"]),
-            lhs=tuple(Estimate.from_dict(e) for e in data["lhs"]),
-            rhs_norms=tuple(tuple(Estimate.from_dict(e) for e in row)
-                            for row in data["rhs_norms"]),
-            fit_model=data["fit_model"],
-            slope=data["slope"],
-            slope_stderr=data["slope_stderr"],
-            classification=data["classification"],
-            gamma=data["gamma"],
-            p=data["p"],
-            rhs_converged=data["rhs_converged"],
-            rhs_rel_change=data["rhs_rel_change"],
-            passed=data["passed"],
-            incr_decay_slope=data.get("incr_decay_slope"),
-            incr_decay_stderr=data.get("incr_decay_stderr"),
-            incr_decay_median=data.get("incr_decay_median"),
-            incr_window_levels=data.get("incr_window_levels"),
-        )
-
 
 @dataclass(frozen=True)
 class GrowthReport:
@@ -310,32 +267,6 @@ class GrowthReport:
             raise ValueError("radius grid must be strictly increasing")
         if not math.isfinite(self.fitted_slope):
             raise ValueError("fitted slope must be finite")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "growth",
-            "r_grid": list(self.r_grid),
-            "lhs": [e.to_dict() for e in self.lhs],
-            "fitted_slope": self.fitted_slope,
-            "slope_stderr": self.slope_stderr,
-            "delta_target": {"num": self.delta_target.numerator,
-                             "den": self.delta_target.denominator},
-            "eta": self.eta,
-            "profile_exponents": list(self.profile_exponents),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GrowthReport":
-        return cls(
-            r_grid=tuple(data["r_grid"]),
-            lhs=tuple(Estimate.from_dict(e) for e in data["lhs"]),
-            fitted_slope=data["fitted_slope"],
-            slope_stderr=data["slope_stderr"],
-            delta_target=Fraction(data["delta_target"]["num"],
-                                  data["delta_target"]["den"]),
-            eta=data["eta"],
-            profile_exponents=tuple(data["profile_exponents"]),
-        )
 
 
 # --- truncated norm boundary scan -------------------------------------------

@@ -22,16 +22,6 @@ class LineFit:
     residual_std: float
     npoints: int
 
-    def to_dict(self) -> dict:
-        return {
-            "intercept": self.intercept,
-            "slope": self.slope,
-            "slope_stderr": self.slope_stderr,
-            "intercept_stderr": self.intercept_stderr,
-            "residual_std": self.residual_std,
-            "npoints": self.npoints,
-        }
-
 
 def fit_line(x, y) -> LineFit:
     x = np.asarray(x, dtype=float)

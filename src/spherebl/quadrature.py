@@ -75,13 +75,6 @@ class QuadConfig:
     def with_seed(self, seed: int) -> "QuadConfig":
         return QuadConfig(self.samples, seed, self.shards)
 
-    def to_dict(self) -> dict:
-        return {"samples": self.samples, "seed": self.seed, "shards": self.shards}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "QuadConfig":
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class Estimate:
@@ -91,18 +84,6 @@ class Estimate:
     stderr: float
     samples: int
     seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "stderr": self.stderr,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Estimate":
-        return cls(data["value"], data["stderr"], data["samples"], data["seed"])
 
 
 @dataclass(frozen=True)
@@ -443,33 +424,6 @@ class VerificationRecord:
     rel_stderr_joint: float
     passed: bool
     flags: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "ps": list(self.ps),
-            "lhs": self.lhs.to_dict(),
-            "norms": [e.to_dict() for e in self.norms],
-            "rhs_value": self.rhs_value,
-            "rhs_stderr": self.rhs_stderr,
-            "margin": self.margin,
-            "rel_stderr_joint": self.rel_stderr_joint,
-            "passed": self.passed,
-            "flags": list(self.flags),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "VerificationRecord":
-        return cls(
-            ps=tuple(data["ps"]),
-            lhs=Estimate.from_dict(data["lhs"]),
-            norms=tuple(Estimate.from_dict(e) for e in data["norms"]),
-            rhs_value=data["rhs_value"],
-            rhs_stderr=data["rhs_stderr"],
-            margin=data["margin"],
-            rel_stderr_joint=data["rel_stderr_joint"],
-            passed=data["passed"],
-            flags=tuple(data["flags"]),
-        )
 
 
 def _rel(est: Estimate) -> float:

@@ -121,9 +121,6 @@ class MultiIndex:
                 f"multi-indices of dimension {self.n} and {other.n}")
         return (self.mask & other.mask).bit_count()
 
-    def to_list(self) -> list[int]:
-        return list(self.bits)
-
     def __repr__(self) -> str:
         return f"MultiIndex({self.n}, {self.bits})"
 
@@ -187,13 +184,6 @@ class EdgeSet:
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "edges": [list(e) for e in self.sorted_edges()]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EdgeSet":
-        return cls.of(data["n"], data["edges"])
 
 
 def complete_edges(n: int) -> list[tuple[int, int]]:
@@ -340,21 +330,6 @@ class Symmetry:
     def canonical(self) -> "Symmetry":
         """Reorder equal-weight blocks by smallest contained index."""
         return Symmetry(self.n, tuple(_canonical_order(self.alphas)), self.r_mask)
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "alphas": [a.to_list() for a in self.alphas],
-            "r": self.r_mask.to_list(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Symmetry":
-        n = data["n"]
-        sym = cls.of(n, [MultiIndex(n, bits) for bits in data["alphas"]])
-        if "r" in data and tuple(data["r"]) != sym.r_mask.bits:
-            raise ValueError("supplied r mask inconsistent with the blocks")
-        return sym
 
 
 def _canonical_order(alphas: Iterable[MultiIndex]) -> list[MultiIndex]:

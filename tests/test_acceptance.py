@@ -245,14 +245,14 @@ def test_criterion_9_determinism():
     first = _holder_records(0)
     second = _holder_records(1)
     for key in first:
-        ok = ok and [r.to_dict() for r in first[key]] == [r.to_dict() for r in second[key]]
+        ok = ok and first[key] == second[key]
     c1, k1 = _sharpness_runs(0)
     c2, k2 = _sharpness_runs(1)
-    ok = ok and c1.to_dict() == c2.to_dict() and k1.to_dict() == k2.to_dict()
+    ok = ok and c1 == c2 and k1 == k2
     s1 = _norm_scans(0)
     s2 = _norm_scans(1)
-    ok = ok and all(a.to_dict() == b.to_dict() for a, b in zip(s1, s2))
-    ok = ok and _growth_run(0).to_dict() == _growth_run(1).to_dict()
+    ok = ok and s1 == s2
+    ok = ok and _growth_run(0) == _growth_run(1)
     elapsed = time.perf_counter() - start
     verdict(9, ok, "reruns of every stochastic criterion with the same seed "
                    "reproduce bit-identical reports", elapsed)

@@ -6,13 +6,18 @@ import itertools
 import json
 import math
 import re
+from fractions import Fraction
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from spherebl.cli import Scenario, emit_csv, main, run
+from spherebl.cli import Scenario, _encode, emit_csv, main, run
 from spherebl.errors import InputError
+from spherebl.exponents import BalancedType, ExponentReport
+from spherebl.extremal import DivergenceReport, GrowthReport
+from spherebl.quadrature import Estimate, VerificationRecord
+from spherebl.symmetry import EdgeSet, Symmetry
 
 
 def write(tmp_path, name, payload):
@@ -247,7 +252,7 @@ class TestRunAndRecord:
 
     def test_record_embeds_scenario(self):
         record = run(Scenario(mode="exponents", payload={"n": 3, "lengths": [2]}))
-        d = record.to_dict()
+        d = _encode(record)
         assert d["scenario"]["payload"] == {"n": 3, "lengths": [2]}
         assert d["tool_version"]
         assert json.loads(json.dumps(d)) == d  # JSON-serialisable round trip
@@ -261,12 +266,108 @@ class TestRunAndRecord:
         assert main(["decompose", "/nonexistent/x.json"]) == 1
 
 
+def est(value, stderr, seed):
+    return Estimate(value, stderr, 1000, seed)
+
+
+def estd(value, stderr, seed):
+    return {"value": value, "stderr": stderr, "samples": 1000, "seed": seed}
+
+
+class TestRecordEncoder:
+    """The encoder against records written by the hand-written per-class
+    encoders it replaced, key order included."""
+
+    CASES = {
+        "scan": (
+            DivergenceReport(
+                eps_grid=(0.5, 0.25, 0.125),
+                lhs=(est(1.5, 0.01, 3), est(2.25, 0.02, 3), est(3.375, 0.04, 3)),
+                rhs_norms=(), fit_model="power", slope=-0.58, slope_stderr=0.003,
+                classification="power-law", gamma=0.5, p=1.8),
+            {"kind": "divergence", "eps_grid": [0.5, 0.25, 0.125],
+             "lhs": [estd(1.5, 0.01, 3), estd(2.25, 0.02, 3), estd(3.375, 0.04, 3)],
+             "rhs_norms": [], "fit_model": "power", "slope": -0.58,
+             "slope_stderr": 0.003, "classification": "power-law", "gamma": 0.5,
+             "p": 1.8, "rhs_converged": None, "rhs_rel_change": None, "passed": None,
+             "incr_decay_slope": None, "incr_decay_stderr": None,
+             "incr_decay_median": None, "incr_window_levels": None}),
+        "sharpness": (
+            DivergenceReport(
+                eps_grid=(0.25, 0.125, 0.0625),
+                lhs=(est(1.0, 0.1, 9), est(1.5, 0.125, 9), est(2.0, 0.25, 9)),
+                rhs_norms=((est(0.75, 0.5, 9), est(0.5, 0.25, 9)),
+                           (est(0.875, 0.5, 9), est(0.625, 0.25, 9)),
+                           (est(0.9375, 0.5, 9), est(0.6875, 0.25, 9))),
+                fit_model="log", slope=0.72, slope_stderr=0.05,
+                classification="log-divergent", gamma=0.5, p=1.8,
+                rhs_converged=True, rhs_rel_change=0.0125, passed=False,
+                incr_decay_slope=-0.03, incr_decay_stderr=0.02, incr_decay_median=0.4,
+                incr_window_levels=6),
+            {"kind": "divergence", "eps_grid": [0.25, 0.125, 0.0625],
+             "lhs": [estd(1.0, 0.1, 9), estd(1.5, 0.125, 9), estd(2.0, 0.25, 9)],
+             "rhs_norms": [[estd(0.75, 0.5, 9), estd(0.5, 0.25, 9)],
+                           [estd(0.875, 0.5, 9), estd(0.625, 0.25, 9)],
+                           [estd(0.9375, 0.5, 9), estd(0.6875, 0.25, 9)]],
+             "fit_model": "log", "slope": 0.72, "slope_stderr": 0.05,
+             "classification": "log-divergent", "gamma": 0.5, "p": 1.8,
+             "rhs_converged": True, "rhs_rel_change": 0.0125, "passed": False,
+             "incr_decay_slope": -0.03, "incr_decay_stderr": 0.02,
+             "incr_decay_median": 0.4, "incr_window_levels": 6}),
+        "growth": (
+            GrowthReport(
+                r_grid=(1.0, 2.0, 4.0),
+                lhs=(est(0.5, 0.01, 5), est(1.25, 0.02, 5), est(3.5, 0.05, 5)),
+                fitted_slope=1.46, slope_stderr=0.011, delta_target=Fraction(3, 2),
+                eta=0.1, profile_exponents=(0.75, 0.75, 0.75)),
+            {"kind": "growth", "r_grid": [1.0, 2.0, 4.0],
+             "lhs": [estd(0.5, 0.01, 5), estd(1.25, 0.02, 5), estd(3.5, 0.05, 5)],
+             "fitted_slope": 1.46, "slope_stderr": 0.011,
+             "delta_target": {"num": 3, "den": 2}, "eta": 0.1,
+             "profile_exponents": [0.75, 0.75, 0.75]}),
+        "verification": (
+            VerificationRecord(
+                ps=(2.0, 3.5), lhs=est(0.25, 0.001, 11),
+                norms=(est(1.0, 0.0, 11), est(0.5, 0.002, 11)), rhs_value=0.5,
+                rhs_stderr=0.002, margin=0.25, rel_stderr_joint=0.0045, passed=True,
+                flags=("untagged integrand 0", "untagged integrand 1")),
+            {"ps": [2.0, 3.5], "lhs": estd(0.25, 0.001, 11),
+             "norms": [estd(1.0, 0.0, 11), estd(0.5, 0.002, 11)], "rhs_value": 0.5,
+             "rhs_stderr": 0.002, "margin": 0.25, "rel_stderr_joint": 0.0045,
+             "passed": True, "flags": ["untagged integrand 0", "untagged integrand 1"]}),
+        "exponents": (
+            ExponentReport(p_uniform=3, p_per_function=(3, 2, 3), j_count=4,
+                           delta=Fraction(7, 4), overcount=2),
+            {"p_uniform": 3, "p_per_function": [3, 2, 3], "j_count": 4,
+             "delta": {"num": 7, "den": 4}, "overcount": 2}),
+        "type": (BalancedType(7, (3, 2)), {"n": 7, "lengths": [3, 2]}),
+        "symmetry": (
+            Symmetry.from_blocks(7, [(2, 5, 6), (1, 3)]),
+            {"n": 7, "alphas": [[0, 1, 0, 0, 1, 1, 0], [1, 0, 1, 0, 0, 0, 0]],
+             "r": [0, 0, 0, 1, 0, 0, 1]}),
+        "edges": (
+            EdgeSet.of(5, [(3, 4), (1, 2), (2, 5), (1, 3)]),
+            {"n": 5, "edges": [[1, 2], [1, 3], [2, 5], [3, 4]]}),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_record_bytes(self, case):
+        value, expected = self.CASES[case]
+        assert json.dumps(_encode(value), indent=2) == json.dumps(expected, indent=2)
+
+
 class TestScenarioValues:
+    QUAD = {"samples": 1000, "seed": 1, "shards": 1}
     BASE = {
+        "decompose": {"n": 4, "edges": [[1, 2], [2, 3]]},
+        "enumerate": {"n": 4, "lengths": [2]},
+        "identities": {"n_max": 4},
         "verify-holder": {"type": {"n": 3, "lengths": [2]}, "p": 2.0,
-                          "functions": {"kind": "random-symmetric", "seed": 5}},
-        "verify-sharpness": {"type": {"n": 3, "lengths": [2]}, "p": 1.8, "gamma": 0.5},
-        "verify-local": {"type": {"n": 3, "lengths": [2]}, "eta": 0.1},
+                          "functions": {"kind": "random-symmetric", "seed": 5},
+                          "quad": QUAD},
+        "verify-sharpness": {"type": {"n": 3, "lengths": [2]}, "p": 1.8, "gamma": 0.5,
+                             "quad": QUAD},
+        "verify-local": {"type": {"n": 3, "lengths": [2]}, "eta": 0.1, "quad": QUAD},
     }
 
     @pytest.mark.parametrize("mode, key, value, path", [
@@ -305,16 +406,28 @@ class TestScenarioValues:
         ("verify-holder", "functions", "", "functions"),
         ("verify-holder", "functions", False, "functions"),
         ("verify-holder", "functions", {}, "functions"),
+        # booleans are not integers
+        ("decompose", "n", True, "n"),
+        ("decompose", "edges", [[True, 2], [3, 4]], "edges[0]"),
+        ("verify-holder", "type", {"n": True, "lengths": [2]}, "type.n"),
+        ("verify-holder", "count", True, "count"),
+        ("identities", "n_max", True, "n_max"),
+        ("verify-local", "r_grid", {"kind": "dyadic", "min_exp": False, "max_exp": 3},
+         "r_grid.min_exp"),
+        ("verify-local", "r_grid", {"kind": "dyadic", "min_exp": 0, "max_exp": True},
+         "r_grid.max_exp"),
+        # and flags are JSON booleans: "no" would close the chain above
+        ("decompose", "close", "no", "close"),
+        ("enumerate", "classes", 1, "classes"),
     ])
     def test_bad_value_is_input_error(self, tmp_path, capsys, mode, key, value, path):
-        payload = dict(self.BASE[mode], quad={"samples": 1000, "seed": 1, "shards": 1})
+        payload = dict(self.BASE[mode])
         payload[key] = value
         assert main([mode, write(tmp_path, "s.json", payload)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
     def test_null_functions_select_the_default(self, tmp_path, capsys):
-        payload = dict(self.BASE["verify-holder"], functions=None,
-                       quad={"samples": 1000, "seed": 1, "shards": 1})
+        payload = dict(self.BASE["verify-holder"], functions=None)
         assert main(["verify-holder", write(tmp_path, "s.json", payload)]) == 0
 
     def test_non_object_scenario_is_input_error(self, tmp_path, capsys):
@@ -359,10 +472,18 @@ class TestUnknownFields:
     @pytest.mark.parametrize("flag", ["--seed", "--samples"])
     @pytest.mark.parametrize("mode", ["decompose", "exponents", "enumerate", "identities"])
     def test_quadrature_flags_need_a_quadrature_mode(self, tmp_path, capsys, mode, flag):
-        with pytest.raises(SystemExit) as exc:
-            main([mode, write(tmp_path, "s.json", self.VALID[mode]), flag, "3"])
-        assert exc.value.code == 2
+        assert main([mode, write(tmp_path, "s.json", self.VALID[mode]), flag, "3"]) == 1
         assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
+    def test_unknown_flag_is_usage_error(self, capsys):
+        assert main(["decompose", "-", "--bogus"]) == 1
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
 
 
 class TestWireFormat:

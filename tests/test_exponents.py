@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,6 @@ from spherebl import (
     BalancedType,
     DegenerateFamilyError,
     EdgeSet,
-    ExponentReport,
     NonPositiveDeltaError,
     Symmetry,
     all_balanced_types,
@@ -31,6 +31,7 @@ from spherebl import (
     report_for_type,
     uniform_exponent,
 )
+from spherebl.cli import _encode
 from oracles import exponent_by_counting, ordered_block_assignments
 
 balanced_types = st.sampled_from(list(balanced_types_upto(12)))
@@ -61,7 +62,7 @@ class TestBalancedType:
 
     def test_json_round_trip(self):
         t = BalancedType(7, (3, 2))
-        assert BalancedType.from_dict(t.to_dict()) == t
+        assert BalancedType(**json.loads(json.dumps(_encode(t)))) == t
 
 
 class TestClosedForms:
@@ -235,7 +236,9 @@ class TestReports:
 
     def test_report_round_trip(self):
         rep = report_for_type(BalancedType(5, (3, 2)))
-        assert ExponentReport.from_dict(rep.to_dict()) == rep
+        d = _encode(rep)
+        assert json.loads(json.dumps(d)) == d
+        assert d["delta"] == {"num": rep.delta.numerator, "den": rep.delta.denominator}
 
     @given(balanced_types)
     @settings(max_examples=60, deadline=None)

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -6,10 +7,8 @@ import pytest
 
 from spherebl import (
     BalancedType,
-    DivergenceReport,
     EdgeSet,
     ExtremalParams,
-    GrowthReport,
     Integrand,
     QuadConfig,
     balanced_exponent,
@@ -33,6 +32,7 @@ from spherebl import (
     sharpness_experiment,
     truncated_norm_slope_prediction,
 )
+from spherebl.cli import _encode
 from spherebl.extremal import _extremal_kernel, _fill_rows
 from spherebl.quadrature import _power_transform
 from oracles import truncated_extremal_norm_p
@@ -217,7 +217,9 @@ class TestSharpness:
         rep = sharpness_experiment(BalancedType(3, (2,)), p=1.8,
                                    cfg=QuadConfig(samples=100_000, seed=3, shards=2),
                                    eps_grid=[2.0 ** -k for k in range(3, 9)])
-        assert DivergenceReport.from_dict(rep.to_dict()) == rep
+        d = _encode(rep)
+        assert json.loads(json.dumps(d)) == d
+        assert [e["value"] for e in d["lhs"]] == [e.value for e in rep.lhs]
 
     def test_holder_holds_along_divergent_family(self):
         # at p equal to the sharp exponent and critical strength (g*p = 1)
@@ -278,7 +280,9 @@ class TestLocalGrowth:
         rep = local_growth_experiment(fams, exps, eta=0.2,
                                       r_grid=[1.0, 2.0, 4.0, 8.0, 16.0],
                                       cfg=QuadConfig(samples=10_000, seed=4, shards=2))
-        assert GrowthReport.from_dict(rep.to_dict()) == rep
+        d = _encode(rep)
+        assert json.loads(json.dumps(d)) == d
+        assert [e["value"] for e in d["lhs"]] == [e.value for e in rep.lhs]
 
 
 def test_default_grids():

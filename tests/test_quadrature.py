@@ -1,3 +1,4 @@
+import json
 import math
 import os
 
@@ -304,11 +305,13 @@ class TestHolder:
             assert norm.value == pytest.approx(alone.value, rel=1e-12)
 
     def test_record_round_trip(self):
-        from spherebl import VerificationRecord
+        from spherebl.cli import _encode
         fams = enumerate_symmetries(BalancedType(3, (2,)))
         fs = [constant_integrand(3, 2.0, tag=s) for s in fams]
         rec = holder_verify(fams, fs, [2.0] * 3, CFG)
-        assert VerificationRecord.from_dict(rec.to_dict()) == rec
+        d = _encode(rec)
+        assert json.loads(json.dumps(d)) == d
+        assert [e["value"] for e in d["norms"]] == [e.value for e in rec.norms]
 
 
 class TestRandomBlockInvariants:
