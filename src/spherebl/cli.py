@@ -51,7 +51,7 @@ from .quadrature import (
     _worker_limit,
     holder_verify_sets,
 )
-from .symmetry import EdgeSet, MultiIndex, Symmetry, decompose, lie_closure
+from .symmetry import MAX_DIMENSION, EdgeSet, MultiIndex, Symmetry, decompose, lie_closure
 
 MODES = ("decompose", "exponents", "enumerate", "identities",
          "verify-holder", "verify-sharpness", "verify-local")
@@ -157,10 +157,17 @@ def _number(value: Any, path: str, integer: bool = False) -> float | int:
     return value
 
 
+def _dimension(data: dict, at: str) -> int:
+    n = _number(data.get("n"), f"{at}n", integer=True)
+    _require(3 <= n <= MAX_DIMENSION, f"{at}n",
+             f"dimension must lie in [3, {MAX_DIMENSION}], got {n}")
+    return n
+
+
 def _edge_set(data: Any, path: str) -> EdgeSet:
     _require(isinstance(data, dict), path, "expected an object with n and edges")
     at = f"{path}." if path else ""
-    n = _number(data.get("n"), f"{at}n", integer=True)
+    n = _dimension(data, at)
     edges = data.get("edges")
     _require(isinstance(edges, list), f"{at}edges", "list of [i, j] pairs required")
     pairs = []
@@ -174,16 +181,13 @@ def _edge_set(data: Any, path: str) -> EdgeSet:
         _require(i < j, epath, "i<j required")
         _require(1 <= i and j <= n, epath, f"indices must lie in [1, {n}]")
         pairs.append((i, j))
-    try:
-        return EdgeSet.of(n, pairs)
-    except ValueError as exc:
-        raise InputError(path or "input", str(exc)) from exc
+    return EdgeSet.of(n, pairs)
 
 
 def _balanced_type(data: Any, path: str) -> BalancedType:
     _require(isinstance(data, dict), path, "expected an object with n and lengths")
     at = f"{path}." if path else ""
-    n = _number(data.get("n"), f"{at}n", integer=True)
+    n = _dimension(data, at)
     lengths = data.get("lengths")
     _require(isinstance(lengths, list) and lengths
              and all(isinstance(a, int) and not isinstance(a, bool) for a in lengths),
@@ -214,23 +218,26 @@ _DYADIC_EXP = 1000
 
 
 def _grid(data: Any, path: str, default: list[float], decreasing: bool) -> list[float]:
+    """The grid at ``path``, sorted; a decreasing grid holds truncation floors."""
     if data is None:
         return default
     if isinstance(data, list):
         _require(len(data) >= 3, path, "need at least 3 grid points")
         vals = [_number(v, f"{path}[{k}]") for k, v in enumerate(data)]
         _require(all(v > 0 for v in vals), path, "grid values must be positive")
-        return sorted(vals, reverse=decreasing)
-    if isinstance(data, dict) and data.get("kind") == "dyadic":
+        _require(len(set(vals)) == len(vals), path, "grid values must be distinct")
+    elif isinstance(data, dict) and data.get("kind") == "dyadic":
         lo = _number(data.get("min_exp"), f"{path}.min_exp", integer=True)
         hi = _number(data.get("max_exp"), f"{path}.max_exp", integer=True)
         _require(lo < hi, path, "dyadic grid needs min_exp < max_exp")
         _require(-_DYADIC_EXP <= lo and hi <= _DYADIC_EXP, path,
                  f"dyadic exponents must lie in [-{_DYADIC_EXP}, {_DYADIC_EXP}]")
-        if decreasing:
-            return [2.0**-k for k in range(lo, hi + 1)]
-        return [2.0**k for k in range(lo, hi + 1)]
-    raise InputError(path, "expected a list of values or a dyadic spec")
+        vals = [2.0 ** (-k if decreasing else k) for k in range(lo, hi + 1)]
+    else:
+        raise InputError(path, "expected a list of values or a dyadic spec")
+    grid = sorted(vals, reverse=decreasing)
+    _require(not decreasing or grid[0] < 0.5, path, "truncation floors must lie below 1/2")
+    return grid
 
 
 def _flag(payload: dict, key: str) -> bool:

@@ -43,7 +43,6 @@ parameter eta goes to 0.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -302,13 +301,11 @@ def norm_boundary_scan(s: Symmetry, gamma: float, p: float,
     eps_grid = sorted((float(e) for e in eps_grid), reverse=True)
     kernel = _extremal_kernel(s, gamma, eps_grid)
 
-    def batch(pts: np.ndarray) -> np.ndarray:
+    def fill(pts: np.ndarray, out: np.ndarray) -> None:
         base, k_idx, p_idx, vals = kernel(pts)
-        out = np.empty((len(eps_grid), len(pts)))
         _fill_rows(out, base ** p, k_idx, p_idx, vals ** p)
-        return out
 
-    raw = mc_sphere_estimates(s.n, cfg, batch, len(eps_grid))
+    raw = mc_sphere_estimates(s.n, cfg, fill, len(eps_grid))
 
     log_case = abs(gamma * p - 1.0) < 1e-12
     if log_case:
@@ -417,16 +414,9 @@ def sharpness_experiment(t: BalancedType, p: float, cfg: QuadConfig,
     fams = enumerate_symmetries(t, cap=cap)
     kernels = [_extremal_kernel(s, g, eps_grid) for s in fams]
     width = 1 + len(fams)
-    # one block of rows per worker thread, reused for every chunk: blocks
-    # allocated per chunk stay with the allocator and raise the peak RSS
-    local = threading.local()
 
-    def batch(pts: np.ndarray) -> np.ndarray:
-        m = len(pts)
-        size = len(eps_grid) * width * m
-        if getattr(local, "buf", None) is None or local.buf.size < size:
-            local.buf = np.empty(size)
-        out = local.buf[:size].reshape(len(eps_grid), width, m)
+    def fill(pts: np.ndarray, out: np.ndarray) -> None:
+        out = out.reshape(len(eps_grid), width, len(pts))
         parts = [k(pts) for k in kernels]
         for j, (base, k_idx, p_idx, vals) in enumerate(parts):
             _fill_rows(out[:, 1 + j, :], base, k_idx, p_idx, vals)
@@ -434,9 +424,8 @@ def sharpness_experiment(t: BalancedType, p: float, cfg: QuadConfig,
         # p-th powers: one of each base, broadcast, and one of the pairs
         for j, (base, k_idx, p_idx, vals) in enumerate(parts):
             _fill_rows(out[:, 1 + j, :], base ** p, k_idx, p_idx, vals ** p)
-        return out.reshape(-1, m)
 
-    ests = mc_sphere_estimates(t.n, cfg, batch, len(eps_grid) * width)
+    ests = mc_sphere_estimates(t.n, cfg, fill, len(eps_grid) * width)
     lhs = [ests[k * width] for k in range(len(eps_grid))]
     norms = [tuple(_power_transform(e, p) for e in ests[k * width + 1:(k + 1) * width])
              for k in range(len(eps_grid))]
@@ -518,15 +507,14 @@ def local_growth_experiment(fams: Sequence[Symmetry], exps: Sequence[int],
     # one draw of the unit ball serves every radius: the points of the ball
     # of radius R are R times those of the unit ball, and so are their
     # projection radii (exact for dyadic R)
-    def batch(pts: np.ndarray) -> np.ndarray:
-        out = np.ones((len(r_grid), len(pts)))
+    def fill(pts: np.ndarray, out: np.ndarray) -> None:
+        out.fill(1.0)
         for cols, prof in zip(free_cols, profiles):
             r = np.sqrt((pts[:, cols] ** 2).sum(axis=1)) if cols.size else np.zeros(len(pts))
             for row, radius in zip(out, r_grid):
                 row *= prof(radius * r)
-        return out
 
-    lhs = mc_ball_estimates(n, 1.0, cfg, batch, len(r_grid),
+    lhs = mc_ball_estimates(n, 1.0, cfg, fill, len(r_grid),
                             volumes=[ball_volume(n, radius) for radius in r_grid])
 
     tail = max(3, int(math.ceil(len(r_grid) * GROWTH_FIT_TAIL)))

@@ -14,9 +14,13 @@ numpy builds is not promised.
 
 One estimator pass evaluates any number of value series on one shared
 stream of points; the experiments put every grid point and repetition into
-a single pass this way.  The chunk a pass evaluates at a time shrinks with
-the number of series (:data:`_CHUNK_BUDGET`), so the last bit of a sum can
-depend on the series count, never the points themselves.
+a single pass this way.  A pass takes one callback, ``fill(points, out)``,
+the signature of :attr:`IntegrandStack.fill`: each shard job owns one
+(series, chunk) block of values, and for every chunk of m points it hands
+``fill`` a C-contiguous (series, m) view of that block to overwrite, then
+reduces the block in place.  The chunk a pass evaluates at a time shrinks
+with the number of series (:data:`_CHUNK_BUDGET`), so the last bit of a
+sum can depend on the series count, never the points themselves.
 
 Estimates carry the plain MC standard error (sample standard deviation /
 sqrt(samples)).  The variance is merged from per-chunk (count, sum, sum of
@@ -222,28 +226,25 @@ def _merge(a, b):
     return n, sa + sb, qa + qb + delta * delta * (na * nb / n)
 
 
-def _run_shard(points: Iterable[np.ndarray], batch_eval, num_series: int):
+def _run_shard(points: Iterable[np.ndarray], fill, num_series: int, chunk: int):
+    block = np.empty(num_series * chunk)
     acc = (0, np.zeros(num_series), np.zeros(num_series))
     for pts in points:
         m = len(pts)
-        vals = np.asarray(batch_eval(pts), dtype=float)
-        if vals.shape != (num_series, m):
-            vals = vals.reshape(num_series, m)
+        vals = block[:num_series * m].reshape(num_series, m)
+        fill(pts, vals)
         sums = vals.sum(axis=1)
         # a NaN or infinity anywhere in a row makes that row's sum non-finite
         if not np.isfinite(sums).all():
             raise NonFiniteSampleError(
                 "integrand returned a non-finite value; truncate the singularity")
-        m2 = np.empty(num_series)
-        for i, (row, mean) in enumerate(zip(vals, sums / m)):
-            dev = row - mean
-            dev *= dev
-            m2[i] = dev.sum()
-        acc = _merge(acc, (m, sums, m2))
+        vals -= (sums / m)[:, None]
+        vals *= vals
+        acc = _merge(acc, (m, sums, vals.sum(axis=1)))
     return acc
 
 
-def _mc_estimates(cfg: QuadConfig, dim: int, make_sampler, batch_eval,
+def _mc_estimates(cfg: QuadConfig, dim: int, make_sampler, fill,
                   num_series: int,
                   scales: Sequence[float] | None = None) -> list[Estimate]:
     """Shared engine: mean of each value series times its scale (1 when
@@ -252,10 +253,12 @@ def _mc_estimates(cfg: QuadConfig, dim: int, make_sampler, batch_eval,
     Shard partials are reduced in index order for determinism; the value is
     the ordered sum over all samples divided by their count.
     """
-    streams = list(_shard_streams(cfg, make_sampler, _chunk_size(dim, num_series)))
+    # no shard holds more than ceil(samples / shards) points
+    chunk = min(_chunk_size(dim, num_series), -(-cfg.samples // cfg.shards))
+    streams = list(_shard_streams(cfg, make_sampler, chunk))
 
     def job(points):
-        return _run_shard(points, batch_eval, num_series)
+        return _run_shard(points, fill, num_series, chunk)
 
     workers = _worker_count(len(streams))
     if workers > 1:
@@ -283,31 +286,33 @@ def _mc_estimates(cfg: QuadConfig, dim: int, make_sampler, batch_eval,
     return out
 
 
-def mc_sphere_estimates(n: int, cfg: QuadConfig, batch_eval,
+def mc_sphere_estimates(n: int, cfg: QuadConfig, fill,
                         num_series: int) -> list[Estimate]:
     """Estimate several sphere integrals from one shared sample stream.
 
-    ``batch_eval(points)`` maps an (m, n) array of unit vectors to a
-    (num_series, m) array.  All series see the same points, which is what
-    the paired grid experiments rely on.
+    ``fill(points, out)`` gets an (m, n) array of unit vectors and a
+    C-contiguous (num_series, m) view of a block the engine reuses for every
+    chunk, and must write every entry of ``out``, series i into row i.  All
+    series see the same points, which is what the paired grid experiments
+    rely on.
     """
     if n < 2:
         raise ValueError("sphere sampling needs dimension >= 2")
-    return _mc_estimates(cfg, n, _sphere_sampler(cfg.seed, n), batch_eval, num_series)
+    return _mc_estimates(cfg, n, _sphere_sampler(cfg.seed, n), fill, num_series)
 
 
 def ball_volume(dim: int, radius: float = 1.0) -> float:
     return math.pi ** (dim / 2) / math.gamma(dim / 2 + 1) * radius**dim
 
 
-def mc_ball_estimates(dim: int, radius: float, cfg: QuadConfig, batch_eval,
+def mc_ball_estimates(dim: int, radius: float, cfg: QuadConfig, fill,
                       num_series: int,
                       volumes: Sequence[float] | None = None) -> list[Estimate]:
     """Like :func:`mc_sphere_estimates` but uniform over the ball of the
     given radius, scaled by its volume (so the estimate targets the plain
-    Lebesgue integral).
+    Lebesgue integral).  ``fill`` must likewise write every entry of ``out``.
 
-    ``volumes`` gives each series its own volume factor instead: a batch
+    ``volumes`` gives each series its own volume factor instead: a fill
     that evaluates series i at R_i times the points of the unit ball, with
     ``volumes[i] = ball_volume(dim, R_i)``, estimates the integral over the
     ball of radius R_i for every i from one draw.
@@ -322,7 +327,7 @@ def mc_ball_estimates(dim: int, radius: float, cfg: QuadConfig, batch_eval,
         urng = _shard_rng(cfg.seed, shard, 1)
         return lambda m: _ball_chunk(rng, urng, m, dim, radius)
 
-    return _mc_estimates(cfg, dim, make_sampler, batch_eval, num_series,
+    return _mc_estimates(cfg, dim, make_sampler, fill, num_series,
                          scales=volumes)
 
 
@@ -337,7 +342,7 @@ def sample_sphere(n: int, cfg: QuadConfig) -> Iterator[np.ndarray]:
 
 def integrate_sphere(f: Integrand, cfg: QuadConfig) -> Estimate:
     """MC mean of ``f`` against the normalized uniform measure."""
-    return mc_sphere_estimates(f.n, cfg, lambda pts: f.eval(pts)[None, :], 1)[0]
+    return mc_sphere_estimates(f.n, cfg, IntegrandStack.of([f]).fill, 1)[0]
 
 
 def _power_transform(est: Estimate, p: float) -> Estimate:
@@ -353,7 +358,8 @@ def lp_norm_sphere(f: Integrand, p: float, cfg: QuadConfig) -> Estimate:
     """(integral of f^p)^(1/p) with a delta-method standard error."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    raw = mc_sphere_estimates(f.n, cfg, lambda pts: f.eval(pts)[None, :] ** p, 1)[0]
+    power = Integrand(f.n, lambda pts: f.eval(pts) ** p)
+    raw = mc_sphere_estimates(f.n, cfg, IntegrandStack.of([power]).fill, 1)[0]
     return _power_transform(raw, p)
 
 
@@ -374,7 +380,7 @@ def ball_reduced_integral(f: Integrand, alpha, cfg: QuadConfig) -> Estimate:
     spare = next(i for i in range(n) if i not in set(cols.tolist()))
     expo = (n - 2 - k) / 2.0
 
-    def batch(ys: np.ndarray) -> np.ndarray:
+    def fill(ys: np.ndarray, out: np.ndarray) -> None:
         m = len(ys)
         r2 = (ys * ys).sum(axis=1)
         rest = np.clip(1.0 - r2, 0.0, None)
@@ -385,9 +391,9 @@ def ball_reduced_integral(f: Integrand, alpha, cfg: QuadConfig) -> Estimate:
             weight = np.maximum(rest, np.finfo(float).tiny) ** expo
         else:
             weight = rest**expo
-        return (f.eval(pts) * weight)[None, :]
+        np.multiply(f.eval(pts), weight, out=out[0])
 
-    return mc_ball_estimates(k, 1.0, cfg, batch, 1)[0]
+    return mc_ball_estimates(k, 1.0, cfg, fill, 1)[0]
 
 
 def product_integrand(fs: Sequence[Integrand]) -> Integrand:
@@ -496,7 +502,7 @@ def holder_verify_sets(fams: Sequence[Symmetry],
     sides of every check come from one sample stream: set k adds the
     product and the p-th powers of its functions as 1 + len(ps) series of a
     single estimator pass.  A stack writes its values straight into the
-    pass's rows; the product and the powers are then taken there in place.
+    engine's rows; the product and the powers are then taken there in place.
     """
     exps = per_function_exponents(fams)
     if len(ps) != len(fams) or any(len(fs) != len(fams) for fs in fs_sets):
@@ -520,14 +526,12 @@ def holder_verify_sets(fams: Sequence[Symmetry],
 
     width = 1 + len(ps)
 
-    def batch(pts: np.ndarray) -> np.ndarray:
-        out = np.empty((len(stacks), width, len(pts)))
-        for stack, rows in zip(stacks, out):
+    def fill(pts: np.ndarray, out: np.ndarray) -> None:
+        for stack, rows in zip(stacks, out.reshape(len(stacks), width, len(pts))):
             stack.fill(pts, rows[1:])
             _product_and_powers(rows, ps)
-        return out.reshape(-1, len(pts))
 
-    ests = mc_sphere_estimates(n, cfg, batch, len(stacks) * width)
+    ests = mc_sphere_estimates(n, cfg, fill, len(stacks) * width)
     return [_holder_record(ests[k * width:(k + 1) * width], ps, flags[k])
             for k in range(len(stacks))]
 

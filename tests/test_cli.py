@@ -360,6 +360,7 @@ class TestScenarioValues:
     QUAD = {"samples": 1000, "seed": 1, "shards": 1}
     BASE = {
         "decompose": {"n": 4, "edges": [[1, 2], [2, 3]]},
+        "exponents": {"n": 4, "lengths": [2]},
         "enumerate": {"n": 4, "lengths": [2]},
         "identities": {"n_max": 4},
         "verify-holder": {"type": {"n": 3, "lengths": [2]}, "p": 2.0,
@@ -419,6 +420,20 @@ class TestScenarioValues:
         # and flags are JSON booleans: "no" would close the chain above
         ("decompose", "close", "no", "close"),
         ("enumerate", "classes", 1, "classes"),
+        # grids are checked before any sampling: repeated values, and
+        # truncation floors of 1/2 or more
+        ("verify-sharpness", "eps_grid", [0.1, 0.1, 0.05, 0.01], "eps_grid"),
+        ("verify-sharpness", "eps_grid", [0.9, 0.1, 0.01], "eps_grid"),
+        ("verify-sharpness", "eps_grid", {"kind": "dyadic", "min_exp": -1,
+                                          "max_exp": 5}, "eps_grid"),
+        ("verify-sharpness", "eps_grid", {"kind": "dyadic", "min_exp": 1,
+                                          "max_exp": 5}, "eps_grid"),
+        ("verify-local", "r_grid", [1, 2, 2, 4, 8], "r_grid"),
+        # an out-of-range dimension is reported at its n
+        ("exponents", "n", 2, "n"),
+        ("decompose", "n", 70, "n"),
+        ("exponents", "families", [{"n": 70, "edges": [[1, 2]]}], "families[0].n"),
+        ("verify-holder", "type", {"n": 2, "lengths": [2]}, "type.n"),
     ])
     def test_bad_value_is_input_error(self, tmp_path, capsys, mode, key, value, path):
         payload = dict(self.BASE[mode])

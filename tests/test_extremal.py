@@ -373,11 +373,11 @@ class TestFusedGrids:
         for k, eps in enumerate(FUSED_GRID):
             fs = [extremal_function(s, ExtremalParams(gamma=0.5, trunc=eps)) for s in fams]
 
-            def batch(pts, fs=fs):
+            def fill(pts, out, fs=fs):
                 vals = [f.eval(pts) for f in fs]
-                return np.stack([vals[0] * vals[1] * vals[2]] + [v ** 1.8 for v in vals])
+                out[...] = np.stack([vals[0] * vals[1] * vals[2]] + [v ** 1.8 for v in vals])
 
-            ests = mc_sphere_estimates(3, FUSED_CFG, batch, 4)
+            ests = mc_sphere_estimates(3, FUSED_CFG, fill, 4)
             assert rep.lhs[k] == ests[0]
             assert rep.rhs_norms[k] == tuple(_power_transform(e, 1.8) for e in ests[1:])
 
@@ -386,7 +386,11 @@ class TestFusedGrids:
         rep = norm_boundary_scan(s, gamma=0.75, p=2.0, eps_grid=FUSED_GRID, cfg=FUSED_CFG)
         for k, eps in enumerate(FUSED_GRID):
             f = extremal_function(s, ExtremalParams(gamma=0.75, trunc=eps))
-            ref = mc_sphere_estimates(3, FUSED_CFG, lambda pts: f.eval(pts)[None, :] ** 2.0, 1)
+
+            def fill(pts, out, f=f):
+                out[0] = f.eval(pts) ** 2.0
+
+            ref = mc_sphere_estimates(3, FUSED_CFG, fill, 1)
             assert rep.lhs[k] == ref[0]
 
     def test_local_growth_series_equal_per_radius_passes(self):
@@ -398,14 +402,14 @@ class TestFusedGrids:
         profiles = [capped_power_profile(se) for se in rep.profile_exponents]
         free = [[i - 1 for i in s.alphas[0].complement().support()] for s in fams]
 
-        def batch(pts):
-            out = np.ones(len(pts))
+        def fill(pts, out):
+            row = np.ones(len(pts))
             for cols, prof in zip(free, profiles):
-                out = out * prof(np.sqrt((pts[:, cols] ** 2).sum(axis=1)))
-            return out[None, :]
+                row = row * prof(np.sqrt((pts[:, cols] ** 2).sum(axis=1)))
+            out[0] = row
 
         for k, radius in enumerate(grid):
-            ref = mc_ball_estimates(3, radius, cfg, batch, 1)[0]
+            ref = mc_ball_estimates(3, radius, cfg, fill, 1)[0]
             assert rep.lhs[k] == ref
 
     def test_worker_width_does_not_change_fused_runs(self, monkeypatch):

@@ -26,6 +26,7 @@ from spherebl import (
     integrate_sphere,
     lp_norm_sphere,
     mc_ball_estimates,
+    mc_sphere_estimates,
     product_integrand,
     random_block_invariant,
     random_block_invariants,
@@ -107,6 +108,39 @@ class TestDeterminism:
             QuadConfig(samples=1000, seed=-1, shards=1)
         with pytest.raises(ValueError):
             QuadConfig(samples=1000, seed=0, shards=0)
+
+
+class TestEngineBlock:
+    @pytest.mark.parametrize("m", [9, 131, 1024, 4099, 70_001])
+    def test_block_reduction_equals_per_row(self, m):
+        # the engine reduces a whole (series, m) block at once; its sums and
+        # deviations equal the per-row ones only if numpy sums each row of a
+        # C-contiguous block exactly as it sums the row alone
+        rng = np.random.default_rng(m)
+        rows = np.exp(rng.normal(0.0, 4.0, size=(7, m)))
+        block = np.empty(7 * (m + 5))[:7 * m].reshape(7, m)
+        block[...] = rows
+        sums = block.sum(axis=1)
+        block -= (sums / m)[:, None]
+        block *= block
+        m2 = block.sum(axis=1)
+        for i, row in enumerate(rows):
+            assert sums[i] == row.sum()
+            assert m2[i] == ((row - row.sum() / m) ** 2).sum()
+
+    def test_fill_writes_into_one_block_per_shard(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_CHUNK_BUDGET", 1)  # 1024-point chunks
+        seen = []
+
+        def fill(pts, out):
+            seen.append((len(pts), out.shape, out.flags.c_contiguous,
+                         out.__array_interface__["data"][0]))
+            out[...] = pts[:, 0]
+
+        mc_sphere_estimates(3, QuadConfig(samples=2500, seed=3, shards=1), fill, 4)
+        assert [m for m, *_ in seen] == [1024, 1024, 452]
+        assert all(shape == (4, m) and contiguous for m, shape, contiguous, _ in seen)
+        assert len({ptr for *_, ptr in seen}) == 1
 
 
 class TestIntegrate:
@@ -373,16 +407,21 @@ class TestBallSampling:
         # E r^2 over the unit ball in R^d is d/(d+2); estimate of the
         # integral is vol * mean
         d = 3
-        est = mc_ball_estimates(
-            d, 1.0, CFG, lambda y: (y * y).sum(axis=1)[None, :], 1)[0]
+        def fill(y, out):
+            (y * y).sum(axis=1, out=out[0])
+
+        est = mc_ball_estimates(d, 1.0, CFG, fill, 1)[0]
         target = ball_volume(d) * d / (d + 2)
         assert within(est, target)
 
     def test_points_do_not_depend_on_the_chunk_size(self, monkeypatch):
         # integer values sum exactly in any order, so equal values mean equal
         # points; the merged deviations may still differ in the last bits
+        def fill(y, out):
+            out[...] = np.floor(64 * y).T
+
         def run():
-            return mc_ball_estimates(3, 2.0, CFG, lambda y: np.floor(64 * y).T, 3)
+            return mc_ball_estimates(3, 2.0, CFG, fill, 3)
 
         reference = run()
         for budget in (1, 20_000, 100_003):  # 1024-point chunks and others
@@ -393,5 +432,5 @@ class TestBallSampling:
                 assert e.stderr == pytest.approx(ref.stderr, rel=1e-12)
 
     def test_radius_scaling(self):
-        est = mc_ball_estimates(2, 2.0, CFG, lambda y: np.ones(len(y))[None, :], 1)[0]
+        est = mc_ball_estimates(2, 2.0, CFG, lambda y, out: out.fill(1.0), 1)[0]
         assert est.value == pytest.approx(ball_volume(2, 2.0), abs=1e-9)
