@@ -43,6 +43,7 @@ from .extremal import (
     DivergenceReport,
     ExtremalParams,
     GrowthReport,
+    NormScanReport,
     default_eps_grid,
     default_r_grid,
     extremal_function,

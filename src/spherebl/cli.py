@@ -36,6 +36,7 @@ from .exponents import (
 from .extremal import (
     DivergenceReport,
     GrowthReport,
+    NormScanReport,
     default_eps_grid,
     default_r_grid,
     local_growth_experiment,
@@ -97,7 +98,7 @@ class RunRecord:
 #: The two wire keys that differ from their field names: ``Symmetry.r_mask``
 #: is written as ``r``, and the experiment reports lead with their kind.
 _RENAMED = {"r_mask": "r"}
-_KIND = {DivergenceReport: "divergence", GrowthReport: "growth"}
+_KIND = {DivergenceReport: "divergence", NormScanReport: "scan", GrowthReport: "growth"}
 
 
 @functools.cache
@@ -274,6 +275,17 @@ def _family(items: Any, path: str) -> list[Symmetry]:
     return out
 
 
+def _members(payload: dict) -> tuple[BalancedType | None, list[Symmetry], list[int]]:
+    """The balanced type (None for a ``families`` list), the members and
+    their per-function exponents of a verify scenario."""
+    t = _balanced_type(payload["type"], "type") if "type" in payload else None
+    fams = _family(payload.get("families"), "families") if t is None else _enumerate(t, "type")
+    try:
+        return t, fams, per_function_exponents(fams)
+    except ValueError as exc:  # a degenerate member
+        raise InputError("families", str(exc)) from exc
+
+
 # --- mode handlers ------------------------------------------------------------
 
 
@@ -370,14 +382,7 @@ def _holder_functions(fn_cfg: Any, fams: list[Symmetry], repetition: int,
 
 def _run_verify_holder(payload: dict) -> tuple[dict, bool | None]:
     quad = _quad_config(payload.get("quad"), "quad")
-    if "type" in payload:
-        t = _balanced_type(payload["type"], "type")
-        fams = _enumerate(t, "type")
-        type_label = f"{t.n},{list(t.lengths)}"
-    else:
-        fams = _family(payload.get("families"), "families")
-        type_label = "family"
-    exps = per_function_exponents(fams)
+    t, fams, exps = _members(payload)
     if "ps" in payload:
         ps = payload["ps"]
         _require(isinstance(ps, list) and len(ps) == len(fams), "ps",
@@ -398,7 +403,7 @@ def _run_verify_holder(payload: dict) -> tuple[dict, bool | None]:
         raise InputError("functions", f"{exc} (or its p-th power overflows)") from exc
     ok = all(r.passed for r in records)
     return {
-        "type_label": type_label,
+        "type_label": "family" if t is None else f"{t.n},{list(t.lengths)}",
         "records": records,
         "all_pass": ok,
     }, ok
@@ -424,12 +429,7 @@ def _run_verify_sharpness(payload: dict) -> tuple[dict, bool | None]:
 
 
 def _run_verify_local(payload: dict) -> tuple[dict, bool | None]:
-    if "type" in payload:
-        t = _balanced_type(payload["type"], "type")
-        fams = _enumerate(t, "type")
-    else:
-        fams = _family(payload.get("families"), "families")
-    exps = per_function_exponents(fams)
+    _, fams, exps = _members(payload)
     eta = _number(payload.get("eta", 0.1), "eta")
     _require(eta > 0, "eta", "positive eta required")
     quad = _quad_config(payload.get("quad"), "quad")

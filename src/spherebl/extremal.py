@@ -38,6 +38,10 @@ capped power profiles pulled back from the coordinate projections; its
 log-log slope approaches delta - eta * sum(1/p_J), slightly below the
 sharp growth exponent delta, with the gap vanishing as the tail-weight
 parameter eta goes to 0.
+
+A sharpness run returns a :class:`DivergenceReport`, a truncated norm scan
+a :class:`NormScanReport` and a local growth run a :class:`GrowthReport`;
+each experiment checks its grid before it builds a kernel or samples.
 """
 
 from __future__ import annotations
@@ -93,6 +97,17 @@ def default_eps_grid() -> list[float]:
 def default_r_grid() -> list[float]:
     """Geometric radius grid 2^0, ..., 2^10 (increasing)."""
     return [2.0**k for k in range(0, 11)]
+
+
+def _grid(values: Sequence[float], least: int, descending: bool) -> list[float]:
+    """``values`` sorted; raises unless ``least`` or more, all distinct and
+    positive.  Every experiment checks its grid here before it samples."""
+    grid = sorted((float(v) for v in values), reverse=descending)
+    if len(set(grid)) < max(least, len(grid)):
+        raise ValueError(f"need {least} or more grid points, all distinct")
+    if not all(v > 0 for v in grid):
+        raise ValueError("grid values must be positive")
+    return grid
 
 
 def _extremal_kernel(s: Symmetry, gamma: float, eps_grid: Sequence[float]):
@@ -208,20 +223,29 @@ def radial_oracle(t: BalancedType, gamma) -> float | Fraction:
 
 
 @dataclass(frozen=True)
+class NormScanReport:
+    """Series and verdict of a truncated norm scan: ``lhs`` holds the p-th
+    powers of the norm; ``fit_model`` is "power" (log norm vs log eps) or
+    "log" (p-th power vs log(1/eps))."""
+
+    eps_grid: tuple[float, ...]
+    lhs: tuple[Estimate, ...]
+    fit_model: str
+    slope: float
+    slope_stderr: float
+    classification: str
+    gamma: float
+    p: float
+
+
+@dataclass(frozen=True)
 class DivergenceReport:
-    """Series and verdicts of a truncation scan.
-
-    ``lhs`` holds the fitted series (the product integral in a sharpness
-    run, the truncated p-th power of the norm in a boundary scan);
-    ``rhs_norms`` holds the per-member norm estimates of a sharpness run,
-    one inner list per grid point.  ``fit_model`` is "power" (log value vs
-    log eps) or "log" (value vs log(1/eps)).
-
-    Sharpness runs additionally carry the increment-decay diagnostic (see
-    :func:`sharpness_experiment`): the log2 regression slope of the series
-    increments over the resolved window, its stderr, the median per-step
-    decay, and the number of resolved levels used.
-    """
+    """Series and verdicts of a sharpness run: ``lhs`` holds the product
+    integral, fitted against log(1/eps) (``fit_model`` "log"), and
+    ``rhs_norms`` the member norms, one tuple per grid point.  The increment
+    decay (see :func:`sharpness_experiment`) gives the log2 slope of the
+    increments over the resolved window, its stderr and median per-step
+    decay (None when too few levels resolve) and the resolved level count."""
 
     eps_grid: tuple[float, ...]
     lhs: tuple[Estimate, ...]
@@ -232,20 +256,13 @@ class DivergenceReport:
     classification: str
     gamma: float
     p: float
-    rhs_converged: bool | None = None
-    rhs_rel_change: float | None = None
-    passed: bool | None = None
-    incr_decay_slope: float | None = None
-    incr_decay_stderr: float | None = None
-    incr_decay_median: float | None = None
-    incr_window_levels: int | None = None
-
-    def __post_init__(self):
-        eps = self.eps_grid
-        if any(eps[i] <= eps[i + 1] for i in range(len(eps) - 1)):
-            raise ValueError("eps grid must be strictly decreasing")
-        if self.fit_model not in ("power", "log"):
-            raise ValueError("fit_model must be 'power' or 'log'")
+    rhs_converged: bool
+    rhs_rel_change: float
+    passed: bool
+    incr_decay_slope: float | None
+    incr_decay_stderr: float | None
+    incr_decay_median: float | None
+    incr_window_levels: int
 
 
 @dataclass(frozen=True)
@@ -261,9 +278,6 @@ class GrowthReport:
     profile_exponents: tuple[float, ...]
 
     def __post_init__(self):
-        r = self.r_grid
-        if any(r[i] >= r[i + 1] for i in range(len(r) - 1)):
-            raise ValueError("radius grid must be strictly increasing")
         if not math.isfinite(self.fitted_slope):
             raise ValueError("fitted slope must be finite")
 
@@ -289,16 +303,16 @@ def truncated_norm_slope_prediction(n: int, gamma: float, p: float) -> float:
 
 
 def norm_boundary_scan(s: Symmetry, gamma: float, p: float,
-                       eps_grid: Sequence[float], cfg: QuadConfig) -> DivergenceReport:
+                       eps_grid: Sequence[float], cfg: QuadConfig) -> NormScanReport:
     """Scan the truncated norm of one extremal function across ``eps_grid``.
 
     The series stores ||f_eps||_p^p estimates; the fit is on the norm:
     log ||f_eps||_p against log eps ("power" model), except at g*p == 1
     where ||f_eps||_p^p is fitted against log(1/eps) ("log" model).
     """
+    eps_grid = _grid(eps_grid, 3, descending=True)
     if not p > 0:
         raise ValueError("p must be positive")
-    eps_grid = sorted((float(e) for e in eps_grid), reverse=True)
     kernel = _extremal_kernel(s, gamma, eps_grid)
 
     def fill(pts: np.ndarray, out: np.ndarray) -> None:
@@ -319,17 +333,15 @@ def norm_boundary_scan(s: Symmetry, gamma: float, p: float,
         model = "power"
         classification = "converged" if abs(fit.slope) <= 0.1 else "divergent-power"
 
-    return DivergenceReport(
+    return NormScanReport(
         eps_grid=tuple(eps_grid),
         lhs=tuple(raw),
-        rhs_norms=(),
         fit_model=model,
         slope=fit.slope,
         slope_stderr=fit.slope_stderr,
         classification=classification,
         gamma=gamma,
         p=p,
-        passed=None,
     )
 
 
@@ -398,6 +410,8 @@ def sharpness_experiment(t: BalancedType, p: float, cfg: QuadConfig,
     the resolved window stays above :data:`INCREMENT_DECAY_THRESHOLD`.
     When too few resolved increments exist the level test alone decides.
     """
+    eps_grid = _grid(default_eps_grid() if eps_grid is None else eps_grid, 3,
+                     descending=True)
     if not p > 0:
         raise ValueError("p must be positive")
     p_sharp = balanced_exponent(t)
@@ -406,10 +420,6 @@ def sharpness_experiment(t: BalancedType, p: float, cfg: QuadConfig,
         raise ValueError("gamma must be positive")
     if g * p >= 1.0 + 1e-12:
         raise ValueError(f"gamma * p = {g * p} >= 1 makes every norm infinite")
-    eps_grid = sorted((float(e) for e in (eps_grid or default_eps_grid())),
-                      reverse=True)
-    if len(eps_grid) < 3:
-        raise ValueError("need at least 3 grid points")
 
     fams = enumerate_symmetries(t, cap=cap)
     kernels = [_extremal_kernel(s, g, eps_grid) for s in fams]
@@ -486,13 +496,11 @@ def local_growth_experiment(fams: Sequence[Symmetry], exps: Sequence[int],
     expected asymptotic slope is delta - eta * sum(1/p_J).  The slope is
     fitted over the trailing half of the radius grid (log-log OLS).
     """
+    r_grid = _grid(r_grid, 4, descending=False)
     if len(fams) != len(exps):
         raise ValueError("one exponent per family member required")
     if eta <= 0:
         raise ValueError("eta must be positive")
-    r_grid = sorted(float(r) for r in r_grid)
-    if len(r_grid) < 4:
-        raise ValueError("need at least 4 radius grid points")
     n = fams[0].n
     delta = local_delta(fams, exps)
 

@@ -15,12 +15,8 @@ import numpy as np
 
 @dataclass(frozen=True)
 class LineFit:
-    intercept: float
     slope: float
     slope_stderr: float
-    intercept_stderr: float
-    residual_std: float
-    npoints: int
 
 
 def fit_line(x, y) -> LineFit:
@@ -40,11 +36,4 @@ def fit_line(x, y) -> LineFit:
     intercept = ybar - slope * xbar
     resid = y - intercept - slope * x
     s2 = float((resid**2).sum()) / (m - 2)
-    return LineFit(
-        intercept=intercept,
-        slope=slope,
-        slope_stderr=float(np.sqrt(s2 / sxx)),
-        intercept_stderr=float(np.sqrt(s2 * (1.0 / m + xbar**2 / sxx))),
-        residual_std=float(np.sqrt(s2)),
-        npoints=m,
-    )
+    return LineFit(slope=slope, slope_stderr=float(np.sqrt(s2 / sxx)))

@@ -237,8 +237,8 @@ def _components(A: EdgeSet) -> list[int]:
     return comps
 
 
-def _closure_bits(A: EdgeSet) -> int:
-    return sum(map(_clique_bits, _components(A)))  # disjoint cliques: sum == union
+def _closure_bits(comps: list[int]) -> int:
+    return sum(map(_clique_bits, comps))  # disjoint cliques: sum == union
 
 
 def lie_closure(A: EdgeSet) -> EdgeSet:
@@ -247,12 +247,12 @@ def lie_closure(A: EdgeSet) -> EdgeSet:
     Two edges sharing a vertex bracket to the edge closing the triangle, so
     the closure is the union of cliques over the connected components.
     """
-    return _edge_set(A.n, _closure_bits(A))
+    return _edge_set(A.n, _closure_bits(_components(A)))
 
 
 def is_maximal(A: EdgeSet) -> bool:
     """True when ``A`` equals its Lie closure."""
-    return _closure_bits(A) == _edge_bits(A)
+    return _closure_bits(_components(A)) == _edge_bits(A)
 
 
 @dataclass(frozen=True, slots=True)
@@ -349,8 +349,9 @@ def decompose(A: EdgeSet) -> Symmetry:
     """
     if not A.edges:
         raise EmptySymmetryError(f"no edges to decompose in dimension {A.n}")
-    if not is_maximal(A):
+    comps = _components(A)
+    if _closure_bits(comps) != _edge_bits(A):
         raise NotMaximalError(
             "edge set is not bracket-closed; apply lie_closure first")
-    blocks = [MultiIndex.from_mask(A.n, c) for c in _components(A) if c.bit_count() >= 2]
+    blocks = [MultiIndex.from_mask(A.n, c) for c in comps if c.bit_count() >= 2]
     return Symmetry.of(A.n, _canonical_order(blocks))

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from spherebl.cli import Scenario, _encode, emit_csv, main, run
 from spherebl.errors import InputError
 from spherebl.exponents import BalancedType, ExponentReport
-from spherebl.extremal import DivergenceReport, GrowthReport
+from spherebl.extremal import DivergenceReport, GrowthReport, NormScanReport
 from spherebl.quadrature import Estimate, VerificationRecord
 from spherebl.symmetry import EdgeSet, Symmetry
 
@@ -280,18 +280,16 @@ class TestRecordEncoder:
 
     CASES = {
         "scan": (
-            DivergenceReport(
+            NormScanReport(
                 eps_grid=(0.5, 0.25, 0.125),
                 lhs=(est(1.5, 0.01, 3), est(2.25, 0.02, 3), est(3.375, 0.04, 3)),
-                rhs_norms=(), fit_model="power", slope=-0.58, slope_stderr=0.003,
+                fit_model="power", slope=-0.58, slope_stderr=0.003,
                 classification="power-law", gamma=0.5, p=1.8),
-            {"kind": "divergence", "eps_grid": [0.5, 0.25, 0.125],
+            {"kind": "scan", "eps_grid": [0.5, 0.25, 0.125],
              "lhs": [estd(1.5, 0.01, 3), estd(2.25, 0.02, 3), estd(3.375, 0.04, 3)],
-             "rhs_norms": [], "fit_model": "power", "slope": -0.58,
+             "fit_model": "power", "slope": -0.58,
              "slope_stderr": 0.003, "classification": "power-law", "gamma": 0.5,
-             "p": 1.8, "rhs_converged": None, "rhs_rel_change": None, "passed": None,
-             "incr_decay_slope": None, "incr_decay_stderr": None,
-             "incr_decay_median": None, "incr_window_levels": None}),
+             "p": 1.8}),
         "sharpness": (
             DivergenceReport(
                 eps_grid=(0.25, 0.125, 0.0625),
@@ -434,9 +432,16 @@ class TestScenarioValues:
         ("decompose", "n", 70, "n"),
         ("exponents", "families", [{"n": 70, "edges": [[1, 2]]}], "families[0].n"),
         ("verify-holder", "type", {"n": 2, "lengths": [2]}, "type.n"),
+        # a degenerate member (its function is constant) is reported at families
+        ("verify-holder", "families", [{"n": 3, "edges": [[1, 2], [1, 3], [2, 3]]}],
+         "families"),
+        ("verify-local", "families", [{"n": 3, "edges": [[1, 2], [1, 3], [2, 3]]}],
+         "families"),
     ])
     def test_bad_value_is_input_error(self, tmp_path, capsys, mode, key, value, path):
         payload = dict(self.BASE[mode])
+        if key == "families":  # a family list stands in for the type
+            payload.pop("type", None)
         payload[key] = value
         assert main([mode, write(tmp_path, "s.json", payload)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: ")

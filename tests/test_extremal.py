@@ -425,3 +425,57 @@ class TestFusedGrids:
                 local_growth_experiment(fams, exps, eta=0.1, r_grid=default_r_grid(), cfg=CFG),
             ))
         assert runs[0] == runs[1]
+
+
+def _run_experiment(kind, grid):
+    t = BalancedType(3, (2,))
+    fams = enumerate_symmetries(t)
+    if kind == "sharpness":
+        return sharpness_experiment(t, p=1.8, cfg=CFG, eps_grid=grid, gamma=0.5)
+    if kind == "scan":
+        return norm_boundary_scan(fams[0], gamma=0.5, p=1.8, eps_grid=grid, cfg=CFG)
+    return local_growth_experiment(fams, per_function_exponents(fams), eta=0.1,
+                                   r_grid=grid, cfg=CFG)
+
+
+class TestGridContract:
+    """Every experiment rejects a bad grid before it samples."""
+
+    BAD = {
+        "repeated": ([0.1, 0.1, 0.05, 0.01], [1.0, 2.0, 2.0, 4.0, 8.0]),
+        "too-few": ([0.1, 0.05], [1.0, 2.0, 4.0]),
+        "empty": ([], []),
+        "zero": ([0.1, 0.05, 0.01, 0.0], [0.0, 1.0, 2.0, 4.0, 8.0]),
+        "negative": ([0.1, 0.05, 0.01, -0.01], [-1.0, 1.0, 2.0, 4.0, 8.0]),
+    }
+
+    @pytest.fixture
+    def no_estimator(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the estimator ran")
+        monkeypatch.setattr("spherebl.extremal.mc_sphere_estimates", fail)
+        monkeypatch.setattr("spherebl.extremal.mc_ball_estimates", fail)
+
+    @pytest.mark.parametrize("kind", ["sharpness", "scan", "growth"])
+    @pytest.mark.parametrize("case", list(BAD))
+    def test_bad_grid_rejected_before_sampling(self, no_estimator, kind, case):
+        eps_grid, r_grid = self.BAD[case]
+        with pytest.raises(ValueError, match="grid"):
+            _run_experiment(kind, r_grid if kind == "growth" else eps_grid)
+
+    def test_grid_is_sorted(self):
+        cfg = QuadConfig(samples=2000, seed=1, shards=1)
+        rep = norm_boundary_scan(enumerate_symmetries(BalancedType(3, (2,)))[0], gamma=0.5,
+                                 p=1.8, eps_grid=[0.01, 0.1, 0.05], cfg=cfg)
+        assert rep.eps_grid == (0.1, 0.05, 0.01)
+
+
+def test_reports_have_no_defaults():
+    from dataclasses import MISSING, fields
+    from spherebl import DivergenceReport, NormScanReport
+    for cls in (DivergenceReport, NormScanReport):
+        assert all(f.default is MISSING for f in fields(cls))
+    assert "__post_init__" not in vars(DivergenceReport)
+    assert [f.name for f in fields(NormScanReport)] == [
+        "eps_grid", "lhs", "fit_model", "slope", "slope_stderr", "classification",
+        "gamma", "p"]

@@ -164,6 +164,20 @@ class TestDecompose:
         assert total == [1] * 6
 
 
+def test_decompose_finds_components_once(monkeypatch):
+    import spherebl.symmetry as sym
+    components, calls = sym._components, []
+
+    def counted(A):
+        calls.append(A)
+        return components(A)
+
+    monkeypatch.setattr(sym, "_components", counted)
+    s = decompose(EdgeSet.of(6, [(1, 2), (1, 3), (2, 3), (4, 5)]))
+    assert len(calls) == 1
+    assert [a.support() for a in s.alphas] == [(1, 2, 3), (4, 5)]
+
+
 class TestSymmetry:
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
