@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
-from . import __version__
+from . import __version__, extremal
 from .enumeration import DEFAULT_CAP, canonical_classes, enumerate_symmetries
 from .errors import CapExceededError, InputError, NonFiniteSampleError
 from .exponents import (
@@ -35,16 +35,17 @@ from .exponents import (
 )
 from .extremal import (
     DivergenceReport,
+    ExtremalParams,
     GrowthReport,
     NormScanReport,
     default_eps_grid,
     default_r_grid,
+    extremal_function,
     local_growth_experiment,
     sharpness_experiment,
 )
 from .exponents import per_function_exponents
 from .functions import constant_integrand, random_block_invariants
-from .extremal import ExtremalParams, extremal_function
 from .quadrature import (
     _WORKERS_ENV,
     RNG_ALGORITHM,
@@ -52,7 +53,7 @@ from .quadrature import (
     _worker_limit,
     holder_verify_sets,
 )
-from .symmetry import MAX_DIMENSION, EdgeSet, MultiIndex, Symmetry, decompose, lie_closure
+from .symmetry import EdgeSet, MultiIndex, Symmetry, _check_dimension, decompose, lie_closure
 
 MODES = ("decompose", "exponents", "enumerate", "identities",
          "verify-holder", "verify-sharpness", "verify-local")
@@ -70,6 +71,11 @@ _FIELDS = {
     "verify-sharpness": {"type", "p", "gamma", "eps_grid", "cap", "quad"},
     "verify-local": {"type", "families", "eta", "r_grid", "slope_window", "quad"},
 }
+
+#: Fields that stand for one another: a scenario gives at most one of each
+#: pair, and the second key it gives is an input error.
+_ALTERNATIVES = ({"type", "families"}, {"p", "ps"}, {"families", "n"},
+                 {"families", "lengths"})
 
 
 @dataclass(frozen=True)
@@ -135,11 +141,22 @@ def _encode(value: Any) -> Any:
 
 
 # --- payload validation -------------------------------------------------------
+#
+# The library owns every rule on a value (dimension, grid, strength, ...);
+# this layer parses JSON and reaches each rule under the path it came from.
 
 
 def _require(cond: bool, path: str, message: str) -> None:
     if not cond:
         raise InputError(path, message)
+
+
+def _at(path: str, call, *args, **kwargs):
+    """``call(*args, **kwargs)``, with its ValueError an input error at ``path``."""
+    try:
+        return call(*args, **kwargs)
+    except ValueError as exc:
+        raise InputError(path, str(exc)) from exc
 
 
 def _number(value: Any, path: str, integer: bool = False) -> float | int:
@@ -160,8 +177,7 @@ def _number(value: Any, path: str, integer: bool = False) -> float | int:
 
 def _dimension(data: dict, at: str) -> int:
     n = _number(data.get("n"), f"{at}n", integer=True)
-    _require(3 <= n <= MAX_DIMENSION, f"{at}n",
-             f"dimension must lie in [3, {MAX_DIMENSION}], got {n}")
+    _at(f"{at}n", _check_dimension, n)
     return n
 
 
@@ -176,9 +192,7 @@ def _edge_set(data: Any, path: str) -> EdgeSet:
         epath = f"{at}edges[{k}]"
         _require(isinstance(e, (list, tuple)) and len(e) == 2,
                  epath, "expected a pair [i, j]")
-        i, j = e
-        # exact type, not isinstance: a JSON boolean is no index
-        _require(type(i) is int and type(j) is int, epath, "integers required")
+        i, j = _number(e[0], epath, integer=True), _number(e[1], epath, integer=True)
         _require(i < j, epath, "i<j required")
         _require(1 <= i and j <= n, epath, f"indices must lie in [1, {n}]")
         pairs.append((i, j))
@@ -190,55 +204,45 @@ def _balanced_type(data: Any, path: str) -> BalancedType:
     at = f"{path}." if path else ""
     n = _dimension(data, at)
     lengths = data.get("lengths")
-    _require(isinstance(lengths, list) and lengths
-             and all(isinstance(a, int) and not isinstance(a, bool) for a in lengths),
-             f"{at}lengths", "nonempty list of integer block lengths required")
-    try:
-        return BalancedType(n, tuple(lengths))
-    except ValueError as exc:
-        raise InputError(f"{at}lengths", str(exc)) from exc
+    _require(isinstance(lengths, list) and lengths, f"{at}lengths",
+             "nonempty list of integer block lengths required")
+    lengths = tuple(_number(a, f"{at}lengths", integer=True) for a in lengths)
+    return _at(f"{at}lengths", BalancedType, n, lengths)
 
 
 def _quad_config(data: Any, path: str) -> QuadConfig:
     if data is None:
         return QuadConfig()
     _require(isinstance(data, dict), path, "expected an object")
-    allowed = {"samples", "seed", "shards"}
     for key, value in data.items():
-        _require(key in allowed, f"{path}.{key}", "unknown field")
-        _require(isinstance(value, int) and not isinstance(value, bool),
-                 f"{path}.{key}", "integer required")
-    try:
-        return QuadConfig(**data)
-    except (TypeError, ValueError) as exc:
-        raise InputError(path, str(exc)) from exc
+        _require(key in ("samples", "seed", "shards"), f"{path}.{key}", "unknown field")
+        _number(value, f"{path}.{key}", integer=True)
+    return _at(path, QuadConfig, **data)
 
 
 #: Largest |exponent| of a dyadic grid: 2^k stays a normal float.
 _DYADIC_EXP = 1000
 
 
-def _grid(data: Any, path: str, default: list[float], decreasing: bool) -> list[float]:
-    """The grid at ``path``, sorted; a decreasing grid holds truncation floors."""
+def _grid(data: Any, path: str, default: list[float], least: int,
+          descending: bool) -> list[float]:
+    """The grid at ``path``: only the parsing of a list of numbers or a
+    dyadic spec (2^-k for floors, which run descending, 2^k otherwise).
+    :func:`spherebl.extremal._grid` owns what a grid must satisfy and
+    sorts it: ``least`` or more distinct positive points, floors below 1/2."""
     if data is None:
-        return default
-    if isinstance(data, list):
-        _require(len(data) >= 3, path, "need at least 3 grid points")
+        vals = default
+    elif isinstance(data, list):
         vals = [_number(v, f"{path}[{k}]") for k, v in enumerate(data)]
-        _require(all(v > 0 for v in vals), path, "grid values must be positive")
-        _require(len(set(vals)) == len(vals), path, "grid values must be distinct")
     elif isinstance(data, dict) and data.get("kind") == "dyadic":
         lo = _number(data.get("min_exp"), f"{path}.min_exp", integer=True)
         hi = _number(data.get("max_exp"), f"{path}.max_exp", integer=True)
-        _require(lo < hi, path, "dyadic grid needs min_exp < max_exp")
         _require(-_DYADIC_EXP <= lo and hi <= _DYADIC_EXP, path,
                  f"dyadic exponents must lie in [-{_DYADIC_EXP}, {_DYADIC_EXP}]")
-        vals = [2.0 ** (-k if decreasing else k) for k in range(lo, hi + 1)]
+        vals = [2.0 ** (-k if descending else k) for k in range(lo, hi + 1)]
     else:
         raise InputError(path, "expected a list of values or a dyadic spec")
-    grid = sorted(vals, reverse=decreasing)
-    _require(not decreasing or grid[0] < 0.5, path, "truncation floors must lie below 1/2")
-    return grid
+    return _at(path, extremal._grid, vals, least, descending)
 
 
 def _flag(payload: dict, key: str) -> bool:
@@ -248,9 +252,8 @@ def _flag(payload: dict, key: str) -> bool:
 
 
 def _cap(payload: dict) -> int:
-    cap = payload.get("cap", DEFAULT_CAP)
-    _require(isinstance(cap, int) and not isinstance(cap, bool) and cap > 0,
-             "cap", "positive integer required")
+    cap = _number(payload.get("cap", DEFAULT_CAP), "cap", integer=True)
+    _require(cap > 0, "cap", "positive integer required")
     return cap
 
 
@@ -265,14 +268,8 @@ def _family(items: Any, path: str) -> list[Symmetry]:
     """Decompose each edge set of the family list at ``path``."""
     _require(isinstance(items, list) and items, path or "input",
              "nonempty list of edge sets required")
-    out = []
-    for k, item in enumerate(items):
-        es = _edge_set(item, f"{path}[{k}]")
-        try:
-            out.append(decompose(es))
-        except ValueError as exc:
-            raise InputError(f"{path}[{k}]", str(exc)) from exc
-    return out
+    return [_at(f"{path}[{k}]", decompose, _edge_set(item, f"{path}[{k}]"))
+            for k, item in enumerate(items)]
 
 
 def _members(payload: dict) -> tuple[BalancedType | None, list[Symmetry], list[int]]:
@@ -280,10 +277,7 @@ def _members(payload: dict) -> tuple[BalancedType | None, list[Symmetry], list[i
     their per-function exponents of a verify scenario."""
     t = _balanced_type(payload["type"], "type") if "type" in payload else None
     fams = _family(payload.get("families"), "families") if t is None else _enumerate(t, "type")
-    try:
-        return t, fams, per_function_exponents(fams)
-    except ValueError as exc:  # a degenerate member
-        raise InputError("families", str(exc)) from exc
+    return t, fams, _at("families", per_function_exponents, fams)  # a degenerate member
 
 
 # --- mode handlers ------------------------------------------------------------
@@ -293,21 +287,14 @@ def _run_decompose(payload: dict) -> tuple[dict, bool | None]:
     es = _edge_set(payload, "")
     if _flag(payload, "close"):
         es = lie_closure(es)
-    try:
-        sym = decompose(es)
-    except ValueError as exc:
-        raise InputError("edges", str(exc)) from exc
-    return {"symmetry": sym, "edges_closed": es}, None
+    return {"symmetry": _at("edges", decompose, es), "edges_closed": es}, None
 
 
 def _run_exponents(payload: Any) -> tuple[dict, bool | None]:
     path = "families" if isinstance(payload, dict) and "families" in payload else ""
     if path or isinstance(payload, list):
         fams = _family(payload[path] if path else payload, path)
-        try:
-            report = report_for_family(fams)
-        except ValueError as exc:
-            raise InputError(path or "input", str(exc)) from exc
+        report = _at(path or "input", report_for_family, fams)
         return {"report": report, "input_kind": "family"}, None
     t = _balanced_type(payload, "")
     return {"report": report_for_type(t), "input_kind": "balanced", "type": t}, None
@@ -366,12 +353,9 @@ def _holder_functions(fn_cfg: Any, fams: list[Symmetry], repetition: int,
     if kind == "extremal":
         _require("gamma" in fn_cfg and "trunc" in fn_cfg, "functions",
                  "extremal functions need gamma and trunc")
-        gamma = _number(fn_cfg["gamma"], "functions.gamma")
-        trunc = _number(fn_cfg["trunc"], "functions.trunc")
-        try:
-            params = ExtremalParams(gamma=gamma, trunc=trunc)
-        except ValueError as exc:
-            raise InputError("functions", str(exc)) from exc
+        params = _at("functions", ExtremalParams,
+                     gamma=_number(fn_cfg["gamma"], "functions.gamma"),
+                     trunc=_number(fn_cfg["trunc"], "functions.trunc"))
         return [extremal_function(s, params) for s in fams]
     if kind == "constant":
         value = _number(fn_cfg.get("value", 1.0), "functions.value")
@@ -396,9 +380,9 @@ def _run_verify_holder(payload: dict) -> tuple[dict, bool | None]:
                                  repetition=rep, fallback_seed=quad.seed)
                for rep in range(count)]
     try:
-        records = holder_verify_sets(fams, fs_sets, ps, quad)
-    except ValueError as exc:
-        raise InputError("ps", str(exc)) from exc
+        # a p below the sharp exponent, reported at the key that gave it
+        records = _at("ps" if "ps" in payload else "p", holder_verify_sets,
+                      fams, fs_sets, ps, quad)
     except NonFiniteSampleError as exc:
         raise InputError("functions", f"{exc} (or its p-th power overflows)") from exc
     ok = all(r.passed for r in records)
@@ -415,11 +399,12 @@ def _run_verify_sharpness(payload: dict) -> tuple[dict, bool | None]:
     p = _number(payload["p"], "p")
     _require(p > 0, "p", "positive exponent required")
     quad = _quad_config(payload.get("quad"), "quad")
-    eps_grid = _grid(payload.get("eps_grid"), "eps_grid", default_eps_grid(),
-                     decreasing=True)
+    eps_grid = _grid(payload.get("eps_grid"), "eps_grid", default_eps_grid(), 3,
+                     descending=True)
     gamma = payload.get("gamma")
     if gamma is not None:
         gamma = _number(gamma, "gamma")
+        _at("gamma", ExtremalParams, gamma, eps_grid[-1])  # raises unless gamma > 0
     cap = _cap(payload)
     try:
         report = sharpness_experiment(t, p, quad, eps_grid=eps_grid, gamma=gamma, cap=cap)
@@ -433,13 +418,14 @@ def _run_verify_local(payload: dict) -> tuple[dict, bool | None]:
     eta = _number(payload.get("eta", 0.1), "eta")
     _require(eta > 0, "eta", "positive eta required")
     quad = _quad_config(payload.get("quad"), "quad")
-    r_grid = _grid(payload.get("r_grid"), "r_grid", default_r_grid(),
-                   decreasing=False)
+    r_grid = _grid(payload.get("r_grid"), "r_grid", default_r_grid(), 4,
+                   descending=False)
     window = payload.get("slope_window")
     if window is not None:
         _require(isinstance(window, list) and len(window) == 2, "slope_window",
                  "expected [lo, hi]")
         window = [_number(w, f"slope_window[{k}]") for k, w in enumerate(window)]
+        _require(window[0] <= window[1], "slope_window", "expected lo <= hi")
     try:
         report = local_growth_experiment(fams, exps, eta, r_grid, quad)
     except (ValueError, OverflowError) as exc:
@@ -471,8 +457,13 @@ def run(scenario: Scenario) -> RunRecord:
     if scenario.mode != "exponents":  # the one mode that also takes a list
         _require(isinstance(scenario.payload, dict), "scenario", "expected a JSON object")
     if isinstance(scenario.payload, dict):
+        given: list[str] = []
         for key in scenario.payload:
             _require(key in _FIELDS[scenario.mode], key, "unknown field")
+            for first in given:
+                _require({first, key} not in _ALTERNATIVES, key,
+                         f"alternative to {first}: give only one of them")
+            given.append(key)
     start = time.perf_counter()
     results, passed = _HANDLERS[scenario.mode](scenario.payload)
     return RunRecord(

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateFamilyError, DimensionMismatchError, NonPositiveDeltaError
-from .symmetry import MAX_DIMENSION, Symmetry
+from .symmetry import Symmetry, _check_dimension
 
 #: Balanced reports materialise one exponent entry per family member only
 #: below this family size; beyond it the (constant) list is collapsed to a
@@ -62,8 +62,7 @@ class BalancedType:
     lengths: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 3 or self.n > MAX_DIMENSION:
-            raise ValueError(f"dimension must lie in [3, {MAX_DIMENSION}], got {self.n}")
+        _check_dimension(self.n)
         object.__setattr__(self, "lengths", tuple(int(a) for a in self.lengths))
         if not self.lengths:
             raise ValueError("a balanced type needs at least one block length")

@@ -77,7 +77,8 @@ from .symmetry import Symmetry
 
 @dataclass(frozen=True)
 class ExtremalParams:
-    """Singularity strength and truncation floor."""
+    """Singularity strength and truncation floor: the one check of
+    gamma > 0; the floor is checked as a one-point grid (see :func:`_grid`)."""
 
     gamma: float
     trunc: float
@@ -85,8 +86,7 @@ class ExtremalParams:
     def __post_init__(self):
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
-        if not 0 < self.trunc < 0.5:
-            raise ValueError("the truncation floor must lie in (0, 1/2)")
+        _grid([self.trunc], 1, descending=True)
 
 
 def default_eps_grid() -> list[float]:
@@ -101,12 +101,17 @@ def default_r_grid() -> list[float]:
 
 def _grid(values: Sequence[float], least: int, descending: bool) -> list[float]:
     """``values`` sorted; raises unless ``least`` or more, all distinct and
-    positive.  Every experiment checks its grid here before it samples."""
+    positive, and, for a descending grid of truncation floors, all below
+    1/2.  The one owner of these rules: every experiment checks its grid
+    here before it samples, :class:`ExtremalParams` its floor, and the
+    command line every grid it has parsed."""
     grid = sorted((float(v) for v in values), reverse=descending)
     if len(set(grid)) < max(least, len(grid)):
         raise ValueError(f"need {least} or more grid points, all distinct")
     if not all(v > 0 for v in grid):
         raise ValueError("grid values must be positive")
+    if descending and not grid[0] < 0.5:
+        raise ValueError("truncation floors must lie below 1/2")
     return grid
 
 
@@ -126,10 +131,9 @@ def _extremal_kernel(s: Symmetry, gamma: float, eps_grid: Sequence[float]):
     the ascending floors counts the floors acting on each point, the
     largest count over its bases gives its pairs, and the floored formula
     is evaluated once over all pairs with one floor per pair.  Everywhere
-    else max(b, eps) == b, which is the base value bit for bit.
+    else max(b, eps) == b, which is the base value bit for bit.  The
+    strength and floors are trusted: every caller has checked them.
     """
-    for eps in eps_grid:
-        ExtremalParams(gamma=gamma, trunc=eps)  # raises on an invalid strength or floor
     n = s.n
     tail = [(np.array([i - 1 for i in a.support()], dtype=int), a.weight)
             for a in s.alphas[1:]]
@@ -313,6 +317,7 @@ def norm_boundary_scan(s: Symmetry, gamma: float, p: float,
     eps_grid = _grid(eps_grid, 3, descending=True)
     if not p > 0:
         raise ValueError("p must be positive")
+    ExtremalParams(gamma, eps_grid[-1])  # raises unless gamma > 0
     kernel = _extremal_kernel(s, gamma, eps_grid)
 
     def fill(pts: np.ndarray, out: np.ndarray) -> None:
@@ -414,10 +419,8 @@ def sharpness_experiment(t: BalancedType, p: float, cfg: QuadConfig,
                      descending=True)
     if not p > 0:
         raise ValueError("p must be positive")
-    p_sharp = balanced_exponent(t)
-    g = float(gamma) if gamma is not None else 1.0 / p_sharp
-    if g <= 0:
-        raise ValueError("gamma must be positive")
+    g = float(gamma) if gamma is not None else 1.0 / balanced_exponent(t)
+    ExtremalParams(g, eps_grid[-1])  # raises unless g > 0
     if g * p >= 1.0 + 1e-12:
         raise ValueError(f"gamma * p = {g * p} >= 1 makes every norm infinite")
 

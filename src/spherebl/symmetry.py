@@ -50,12 +50,9 @@ MAX_DIMENSION = 64
 
 
 def _check_dimension(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"dimension must be an integer, got {n!r}")
-    if n < 3:
-        raise ValueError(f"ambient dimension must be >= 3, got {n}")
-    if n > MAX_DIMENSION:
-        raise ValueError(f"ambient dimension capped at {MAX_DIMENSION}, got {n}")
+    """The one check of the ambient dimension (a boolean is below 3)."""
+    if not (isinstance(n, int) and 3 <= n <= MAX_DIMENSION):
+        raise ValueError(f"dimension must lie in [3, {MAX_DIMENSION}], got {n!r}")
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)

@@ -368,6 +368,7 @@ class TestScenarioValues:
                              "quad": QUAD},
         "verify-local": {"type": {"n": 3, "lengths": [2]}, "eta": 0.1, "quad": QUAD},
     }
+    ALTERNATIVES = {"families": ("type", "n", "lengths"), "ps": ("p",)}
 
     @pytest.mark.parametrize("mode, key, value, path", [
         ("verify-local", "eta", "abc", "eta"),
@@ -437,11 +438,25 @@ class TestScenarioValues:
          "families"),
         ("verify-local", "families", [{"n": 3, "edges": [[1, 2], [1, 3], [2, 3]]}],
          "families"),
+        # a key marked "+" comes beside its alternative: the second is an error
+        ("verify-holder", "+families", "nonsense", "families"),
+        ("verify-local", "+families", "nonsense", "families"),
+        ("verify-holder", "+ps", [2.0, 2.0, 2.0], "ps"),
+        ("exponents", "+families", [{"n": 4, "edges": [[1, 2]]}], "families"),
+        # an inverted window could never pass
+        ("verify-local", "slope_window", [2, 1], "slope_window"),
+        # a library rule is reported at the key the scenario used
+        ("verify-sharpness", "gamma", -0.5, "gamma"),
+        ("verify-sharpness", "gamma", 0, "gamma"),
+        ("verify-holder", "p", 1.5, "p"),
     ])
     def test_bad_value_is_input_error(self, tmp_path, capsys, mode, key, value, path):
         payload = dict(self.BASE[mode])
-        if key == "families":  # a family list stands in for the type
-            payload.pop("type", None)
+        if key.startswith("+"):
+            key = key[1:]
+        else:  # a family list stands in for the type (or n and lengths), ps for p
+            for alternative in self.ALTERNATIVES.get(key, ()):
+                payload.pop(alternative, None)
         payload[key] = value
         assert main([mode, write(tmp_path, "s.json", payload)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
@@ -480,6 +495,12 @@ class TestUnknownFields:
         payload = dict(self.VALID[mode], sampels=5)
         assert main([mode, write(tmp_path, "s.json", payload)]) == 1
         assert capsys.readouterr().err.startswith("error: sampels: unknown field")
+
+    def test_second_of_two_alternatives_is_the_error(self, tmp_path, capsys):
+        payload = {"families": [{"n": 3, "edges": [[1, 2]]}],
+                   "type": {"n": 3, "lengths": [2]}}
+        assert main(["verify-local", write(tmp_path, "s.json", payload)]) == 1
+        assert capsys.readouterr().err.startswith("error: type: alternative to families")
 
     @pytest.mark.parametrize("mode, flags", [
         ("decompose", ["--close"]),
@@ -566,6 +587,9 @@ JUNK = ["abc", "", "2", -1, -3, -0.5, 0, 1e300, True, None, [], {}, [1, "x"],
         {"kind": "dyadic"}, math.nan, -math.inf]
 
 
+ALTERNATIVE = {"type": "families", "p": "ps"}
+
+
 def _nodes(value, path=()):
     """Paths of every value inside a JSON tree."""
     if isinstance(value, dict):
@@ -587,6 +611,8 @@ def _mutate(payload, path, action, junk):
         del parent[last]
     elif action == "add" and isinstance(parent, dict):
         parent[f"extra_{last}"] = junk
+    elif action == "alternative":  # families beside type, ps beside p
+        payload.update({ALTERNATIVE[k]: junk for k in list(payload) if k in ALTERNATIVE})
     else:
         parent[last] = junk
 
@@ -600,7 +626,7 @@ def mutated_scenarios(draw):
         if not paths:
             break
         _mutate(payload, draw(st.sampled_from(paths)),
-                draw(st.sampled_from(["drop", "swap", "add"])),
+                draw(st.sampled_from(["drop", "swap", "add", "alternative"])),
                 copy.deepcopy(draw(st.sampled_from(JUNK))))
     return mode, payload
 

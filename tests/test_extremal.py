@@ -463,6 +463,23 @@ class TestGridContract:
         with pytest.raises(ValueError, match="grid"):
             _run_experiment(kind, r_grid if kind == "growth" else eps_grid)
 
+    @pytest.mark.parametrize("kind", ["sharpness", "scan"])
+    @pytest.mark.parametrize("grid, gamma, message", [
+        ([0.6, 0.1, 0.01], 0.5, "below 1/2"),
+        ([0.5, 0.1, 0.01], 0.5, "below 1/2"),
+        ([0.1, 0.05, 0.01], 0.0, "gamma must be positive"),
+        ([0.1, 0.05, 0.01], -0.5, "gamma must be positive"),
+    ])
+    def test_bad_floor_or_strength_rejected_before_sampling(self, no_estimator, kind,
+                                                             grid, gamma, message):
+        t = BalancedType(3, (2,))
+        with pytest.raises(ValueError, match=message):
+            if kind == "sharpness":
+                sharpness_experiment(t, p=1.8, cfg=CFG, eps_grid=grid, gamma=gamma)
+            else:
+                norm_boundary_scan(enumerate_symmetries(t)[0], gamma=gamma, p=1.8,
+                                   eps_grid=grid, cfg=CFG)
+
     def test_grid_is_sorted(self):
         cfg = QuadConfig(samples=2000, seed=1, shards=1)
         rep = norm_boundary_scan(enumerate_symmetries(BalancedType(3, (2,)))[0], gamma=0.5,
