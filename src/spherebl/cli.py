@@ -2,9 +2,11 @@
 
 One subcommand per mode; every input beyond the global flags lives in a
 scenario JSON file so runs are reproducible by passing the same file
-around.  Every report embeds the scenario it came from.  Exit codes:
-0 pass (or informational mode), 2 verification failure, 1 input or usage
-error.
+around.  Every report embeds the scenario it came from.  :func:`run` walks
+a mode's entry of the table ``_MODES`` once: every object, at every level,
+rejects the keys it does not read, and each value is parsed at its own JSON
+path.  Exit codes: 0 pass (or informational mode), 2 verification failure,
+1 input or usage error.
 """
 
 from __future__ import annotations
@@ -13,13 +15,14 @@ import argparse
 import csv
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from . import __version__, extremal
 from .enumeration import DEFAULT_CAP, canonical_classes, enumerate_symmetries
@@ -30,6 +33,7 @@ from .exponents import (
     identity_critical_gamma,
     identity_exponent_count,
     identity_partition,
+    per_function_exponents,
     report_for_family,
     report_for_type,
 )
@@ -44,7 +48,6 @@ from .extremal import (
     local_growth_experiment,
     sharpness_experiment,
 )
-from .exponents import per_function_exponents
 from .functions import constant_integrand, random_block_invariants
 from .quadrature import (
     _WORKERS_ENV,
@@ -53,29 +56,8 @@ from .quadrature import (
     _worker_limit,
     holder_verify_sets,
 )
-from .symmetry import EdgeSet, MultiIndex, Symmetry, _check_dimension, decompose, lie_closure
-
-MODES = ("decompose", "exponents", "enumerate", "identities",
-         "verify-holder", "verify-sharpness", "verify-local")
-
-#: The top-level fields of each mode's scenario object, with those that
-#: :func:`main` sets from flags (``close``, ``classes``, ``quad``); any other
-#: key is an input error, so a misspelt field cannot fall back to its default.
-#: Only the modes with a ``quad`` field take ``--seed`` and ``--samples``.
-_FIELDS = {
-    "decompose": {"n", "edges", "close"},
-    "exponents": {"n", "lengths", "families"},
-    "enumerate": {"n", "lengths", "cap", "classes"},
-    "identities": {"n_max"},
-    "verify-holder": {"type", "families", "p", "ps", "count", "functions", "quad"},
-    "verify-sharpness": {"type", "p", "gamma", "eps_grid", "cap", "quad"},
-    "verify-local": {"type", "families", "eta", "r_grid", "slope_window", "quad"},
-}
-
-#: Fields that stand for one another: a scenario gives at most one of each
-#: pair, and the second key it gives is an input error.
-_ALTERNATIVES = ({"type", "families"}, {"p", "ps"}, {"families", "n"},
-                 {"families", "lengths"})
+from .symmetry import (EdgeSet, MultiIndex, Symmetry, _check_dimension, _check_edge,
+                       decompose, lie_closure)
 
 
 @dataclass(frozen=True)
@@ -140,10 +122,11 @@ def _encode(value: Any) -> Any:
     raise TypeError(f"no JSON form for {type(value).__name__}")
 
 
-# --- payload validation -------------------------------------------------------
+# --- field parsers --------------------------------------------------------------
 #
-# The library owns every rule on a value (dimension, grid, strength, ...);
-# this layer parses JSON and reaches each rule under the path it came from.
+# The library owns every rule on a value (dimension, edge, grid, strength,
+# ...).  A parser ``parse(value, path)`` turns one JSON value into its
+# library value and reaches each rule at ``path`` (``_at``).
 
 
 def _require(cond: bool, path: str, message: str) -> None:
@@ -152,11 +135,32 @@ def _require(cond: bool, path: str, message: str) -> None:
 
 
 def _at(path: str, call, *args, **kwargs):
-    """``call(*args, **kwargs)``, with its ValueError an input error at ``path``."""
+    """``call(*args, **kwargs)``; a ValueError or exceeded cap is an error at ``path``."""
     try:
         return call(*args, **kwargs)
-    except ValueError as exc:
+    except (ValueError, CapExceededError) as exc:
         raise InputError(path, str(exc)) from exc
+
+
+def _fields(data: Any, path: str, parsers: dict, what: str = "an object",
+            required: Iterable[str] = (), alternatives: Sequence[frozenset] = ()) -> dict:
+    """The fields of the JSON object ``data`` at ``path`` (``""``: the root), each
+    parsed at its own path unless its parser is None.  Errors: an unknown key, the later
+    of two ``alternatives``, a ``required`` field that neither it nor an alternative gives."""
+    _require(isinstance(data, dict), path or "scenario", f"expected {what}")
+    at = f"{path}." if path else ""
+    for key in data:
+        _require(key in parsers, at + key, "unknown field")
+    for first, key in itertools.combinations(data, 2):
+        _require({first, key} not in alternatives, at + key,
+                 f"alternative to {first}: give only one of them")
+    values = {key: parsers[key](value, at + key) for key, value in data.items()
+              if parsers[key] is not None}
+    for key in required:
+        if key not in values and not any(pair & values.keys()
+                                         for pair in alternatives if key in pair):
+            parsers[key](None, at + key)  # fails with the field's own message
+    return values
 
 
 def _number(value: Any, path: str, integer: bool = False) -> float | int:
@@ -175,339 +179,364 @@ def _number(value: Any, path: str, integer: bool = False) -> float | int:
     return value
 
 
-def _dimension(data: dict, at: str) -> int:
-    n = _number(data.get("n"), f"{at}n", integer=True)
-    _at(f"{at}n", _check_dimension, n)
-    return n
+_integer = functools.partial(_number, integer=True)
 
 
-def _edge_set(data: Any, path: str) -> EdgeSet:
-    _require(isinstance(data, dict), path, "expected an object with n and edges")
-    at = f"{path}." if path else ""
-    n = _dimension(data, at)
-    edges = data.get("edges")
-    _require(isinstance(edges, list), f"{at}edges", "list of [i, j] pairs required")
+def _bounded(lo: float, hi: float = math.inf, integer: bool = False):
+    """The parser of a number (an integer when ``integer``) in [lo, hi]."""
+    bound = f"{'integer' if integer else 'number'} " + (
+        f"in [{lo}, {hi}]" if hi < math.inf else f">= {lo}")
+
+    def parse(value: Any, path: str) -> float | int:
+        x = _number(value, path, integer)
+        _require(lo <= x <= hi, path, f"{bound} required")
+        return x
+    return parse
+
+
+def _positive(value: Any, path: str) -> float:
+    return _at(path, extremal._positive, path, _number(value, path))
+
+
+def _flag(value: Any, path: str) -> bool:
+    _require(isinstance(value, bool), path, "true or false required")
+    return value
+
+
+def _numbers(value: Any, path: str) -> list[float]:
+    _require(isinstance(value, list), path, "list of numbers required")
+    return [_number(v, f"{path}[{k}]") for k, v in enumerate(value)]
+
+
+def _window(value: Any, path: str) -> list[float] | None:
+    window = None if value is None else _numbers(value, path)
+    _require(window is None or len(window) == 2 and window[0] <= window[1], path,
+             "expected [lo, hi] with lo <= hi")
+    return window
+
+
+def _dimension(value: Any, path: str) -> int:
+    return _at(path, _check_dimension, _integer(value, path))
+
+
+def _pairs(value: Any, path: str) -> list[tuple[int, int]]:
+    """Integer pairs [i, j]; the edge rule needs ``n`` (see :func:`_edge_set`)."""
+    _require(isinstance(value, list), path, "list of [i, j] pairs required")
     pairs = []
-    for k, e in enumerate(edges):
-        epath = f"{at}edges[{k}]"
-        _require(isinstance(e, (list, tuple)) and len(e) == 2,
-                 epath, "expected a pair [i, j]")
-        i, j = _number(e[0], epath, integer=True), _number(e[1], epath, integer=True)
-        _require(i < j, epath, "i<j required")
-        _require(1 <= i and j <= n, epath, f"indices must lie in [1, {n}]")
-        pairs.append((i, j))
-    return EdgeSet.of(n, pairs)
+    for k, e in enumerate(value):
+        epath = f"{path}[{k}]"
+        _require(isinstance(e, (list, tuple)) and len(e) == 2, epath, "expected a pair [i, j]")
+        pairs.append((_integer(e[0], epath), _integer(e[1], epath)))
+    return pairs
 
 
-def _balanced_type(data: Any, path: str) -> BalancedType:
-    _require(isinstance(data, dict), path, "expected an object with n and lengths")
-    at = f"{path}." if path else ""
-    n = _dimension(data, at)
-    lengths = data.get("lengths")
-    _require(isinstance(lengths, list) and lengths, f"{at}lengths",
+def _lengths(value: Any, path: str) -> tuple[int, ...]:
+    _require(isinstance(value, list) and value, path,
              "nonempty list of integer block lengths required")
-    lengths = tuple(_number(a, f"{at}lengths", integer=True) for a in lengths)
-    return _at(f"{at}lengths", BalancedType, n, lengths)
+    return tuple(_integer(a, path) for a in value)
 
 
-def _quad_config(data: Any, path: str) -> QuadConfig:
-    if data is None:
-        return QuadConfig()
-    _require(isinstance(data, dict), path, "expected an object")
-    for key, value in data.items():
-        _require(key in ("samples", "seed", "shards"), f"{path}.{key}", "unknown field")
-        _number(value, f"{path}.{key}", integer=True)
-    return _at(path, QuadConfig, **data)
+def _edge_set(at: str, n: int, edges: list[tuple[int, int]]) -> EdgeSet:
+    """The edge set of ``n`` and ``edges``; a bad edge is reported at its own path."""
+    try:
+        return EdgeSet.of(n, edges)
+    except ValueError:
+        for k, (i, j) in enumerate(edges):
+            _at(f"{at}edges[{k}]", _check_edge, n, i, j)
+        raise
+
+
+_EDGES = {"n": _dimension, "edges": _pairs}
+_TYPE = {"n": _dimension, "lengths": _lengths}
+_QUAD = dict.fromkeys(("samples", "seed", "shards"), _integer)
+
+
+def _type(value: Any, path: str) -> BalancedType:
+    return _at(f"{path}.lengths", BalancedType, **_fields(
+        value, path, _TYPE, "an object with n and lengths", required=_TYPE))
+
+
+def _family(value: Any, path: str) -> list[Symmetry]:
+    """The decomposed members of the list of edge sets at ``path``."""
+    _require(isinstance(value, list) and value, path or "scenario",
+             "nonempty list of edge sets required")
+    fams = []
+    for k, item in enumerate(value):
+        at = f"{path}[{k}]"
+        es = _edge_set(f"{at}.", **_fields(item, at, _EDGES, "an object with n and edges",
+                                           required=_EDGES))
+        fams.append(_at(at, decompose, es))
+    return fams
+
+
+def _quad(value: Any, path: str) -> QuadConfig:
+    return _at(path, QuadConfig, **_fields({} if value is None else value, path, _QUAD))
 
 
 #: Largest |exponent| of a dyadic grid: 2^k stays a normal float.
 _DYADIC_EXP = 1000
 
-
-def _grid(data: Any, path: str, default: list[float], least: int,
-          descending: bool) -> list[float]:
-    """The grid at ``path``: only the parsing of a list of numbers or a
-    dyadic spec (2^-k for floors, which run descending, 2^k otherwise).
-    :func:`spherebl.extremal._grid` owns what a grid must satisfy and
-    sorts it: ``least`` or more distinct positive points, floors below 1/2."""
-    if data is None:
-        vals = default
-    elif isinstance(data, list):
-        vals = [_number(v, f"{path}[{k}]") for k, v in enumerate(data)]
-    elif isinstance(data, dict) and data.get("kind") == "dyadic":
-        lo = _number(data.get("min_exp"), f"{path}.min_exp", integer=True)
-        hi = _number(data.get("max_exp"), f"{path}.max_exp", integer=True)
-        _require(-_DYADIC_EXP <= lo and hi <= _DYADIC_EXP, path,
-                 f"dyadic exponents must lie in [-{_DYADIC_EXP}, {_DYADIC_EXP}]")
-        vals = [2.0 ** (-k if descending else k) for k in range(lo, hi + 1)]
-    else:
-        raise InputError(path, "expected a list of values or a dyadic spec")
-    return _at(path, extremal._grid, vals, least, descending)
+_DYADIC = {"kind": None, "min_exp": _integer, "max_exp": _integer}
+_EPS_GRID, _R_GRID = tuple(default_eps_grid()), tuple(default_r_grid())
 
 
-def _flag(payload: dict, key: str) -> bool:
-    value = payload.get(key, False)
-    _require(isinstance(value, bool), key, "true or false required")
-    return value
+def _grid(default: tuple[float, ...], least: int, descending: bool):
+    """The parser of a grid: a list of numbers, a dyadic spec (2^-k for
+    floors, which run descending, 2^k otherwise) or ``null`` for ``default``.
+    :func:`spherebl.extremal._grid` owns the rules on a grid and sorts it."""
+    def parse(value: Any, path: str) -> list[float]:
+        if value is None:
+            vals = default
+        elif isinstance(value, list):
+            vals = _numbers(value, path)
+        elif isinstance(value, dict) and value.get("kind") == "dyadic":
+            spec = _fields(value, path, _DYADIC, required=("min_exp", "max_exp"))
+            lo, hi = spec["min_exp"], spec["max_exp"]
+            _require(-_DYADIC_EXP <= lo and hi <= _DYADIC_EXP, path,
+                     f"dyadic exponents must lie in [-{_DYADIC_EXP}, {_DYADIC_EXP}]")
+            vals = [2.0 ** (-k if descending else k) for k in range(lo, hi + 1)]
+        else:
+            raise InputError(path, "expected a list of values or a dyadic spec")
+        return _at(path, extremal._grid, vals, least, descending)
+    return parse
 
 
-def _cap(payload: dict) -> int:
-    cap = _number(payload.get("cap", DEFAULT_CAP), "cap", integer=True)
-    _require(cap > 0, "cap", "positive integer required")
-    return cap
+#: The fields of each function kind of verify-holder.
+_FUNCTIONS = {
+    "random-symmetric": {"kind": None, "amplitude": _bounded(0),
+                         "seed": _bounded(0, integer=True)},
+    "extremal": {"kind": None, "gamma": _number, "trunc": _number},
+    "constant": {"kind": None, "value": _bounded(0)},
+}
 
 
-def _enumerate(t: BalancedType, path: str, cap: int = DEFAULT_CAP) -> list[Symmetry]:
-    try:
-        return enumerate_symmetries(t, cap=cap)
-    except CapExceededError as exc:
-        raise InputError(path, str(exc)) from exc
+def _functions(value: Any, path: str):
+    """``make(fams, repetition, fallback_seed)``, the function set of one
+    repetition; ``null`` selects random-symmetric functions."""
+    value = {"kind": "random-symmetric"} if value is None else value
+    _require(isinstance(value, dict) and "kind" in value, path,
+             "expected an object with a 'kind'")
+    kind = value["kind"]
+    _require(isinstance(kind, str) and kind in _FUNCTIONS, f"{path}.kind",
+             f"unknown kind {kind!r}")
+    spec = _fields(value, path, _FUNCTIONS[kind])
+    if kind == "extremal":
+        _require(len(spec) == 2, path, "extremal functions need gamma and trunc")
+        params = _at(path, ExtremalParams, spec["gamma"], spec["trunc"])
+        return lambda fams, *_: [extremal_function(s, params) for s in fams]
+    if kind == "constant":
+        return lambda fams, *_: [constant_integrand(s.n, spec.get("value", 1.0), tag=s)
+                                 for s in fams]
 
-
-def _family(items: Any, path: str) -> list[Symmetry]:
-    """Decompose each edge set of the family list at ``path``."""
-    _require(isinstance(items, list) and items, path or "input",
-             "nonempty list of edge sets required")
-    return [_at(f"{path}[{k}]", decompose, _edge_set(item, f"{path}[{k}]"))
-            for k, item in enumerate(items)]
-
-
-def _members(payload: dict) -> tuple[BalancedType | None, list[Symmetry], list[int]]:
-    """The balanced type (None for a ``families`` list), the members and
-    their per-function exponents of a verify scenario."""
-    t = _balanced_type(payload["type"], "type") if "type" in payload else None
-    fams = _family(payload.get("families"), "families") if t is None else _enumerate(t, "type")
-    return t, fams, _at("families", per_function_exponents, fams)  # a degenerate member
+    def make(fams, repetition, fallback_seed):
+        base = spec.get("seed", fallback_seed) + 977 * repetition
+        try:
+            return random_block_invariants(
+                fams, [base + 101 * j for j in range(len(fams))], spec.get("amplitude", 1.0))
+        except OverflowError as exc:  # a range [-amplitude, amplitude] too wide
+            raise InputError(f"{path}.amplitude", str(exc)) from exc
+    return make
 
 
 # --- mode handlers ------------------------------------------------------------
+#
+# A handler gets the parsed fields as keyword arguments, with defaults for
+# missing ones, and does only the work that spans fields.
 
 
-def _run_decompose(payload: dict) -> tuple[dict, bool | None]:
-    es = _edge_set(payload, "")
-    if _flag(payload, "close"):
+def _members(type: BalancedType | None, families: list[Symmetry] | None):
+    fams = families if type is None else _at("type", enumerate_symmetries, type)
+    return fams, _at("families", per_function_exponents, fams)  # a degenerate member
+
+
+def _run_decompose(n, edges, close=False):
+    es = _edge_set("", n, edges)
+    if close:
         es = lie_closure(es)
     return {"symmetry": _at("edges", decompose, es), "edges_closed": es}, None
 
 
-def _run_exponents(payload: Any) -> tuple[dict, bool | None]:
-    path = "families" if isinstance(payload, dict) and "families" in payload else ""
-    if path or isinstance(payload, list):
-        fams = _family(payload[path] if path else payload, path)
-        report = _at(path or "input", report_for_family, fams)
-        return {"report": report, "input_kind": "family"}, None
-    t = _balanced_type(payload, "")
+def _run_exponents(n=None, lengths=None, families=None):
+    if families is not None:  # already the family's report
+        return {"report": families, "input_kind": "family"}, None
+    t = _at("lengths", BalancedType, n, lengths)
     return {"report": report_for_type(t), "input_kind": "balanced", "type": t}, None
 
 
-def _run_enumerate(payload: dict) -> tuple[dict, bool | None]:
-    t = _balanced_type(payload, "")
-    fams = _enumerate(t, "cap", _cap(payload))
-    results: dict = {"count": len(fams), "type": t}
-    if _flag(payload, "classes"):
-        classes = canonical_classes(fams)
-        results["classes"] = classes
-        results["class_count"] = len(classes)
-    else:
-        results["symmetries"] = fams
-    return results, None
+def _run_enumerate(n, lengths, cap=DEFAULT_CAP, classes=False):
+    t = _at("lengths", BalancedType, n, lengths)
+    fams = _at("cap", enumerate_symmetries, t, cap=cap)
+    if not classes:
+        return {"count": len(fams), "type": t, "symmetries": fams}, None
+    found = canonical_classes(fams)
+    return {"count": len(fams), "type": t, "classes": found, "class_count": len(found)}, None
 
 
-def _run_identities(payload: dict) -> tuple[dict, bool | None]:
-    n_max = _number(payload.get("n_max", 10), "n_max", integer=True)
-    _require(3 <= n_max <= 16, "n_max", "integer in [3, 16] required")
-    checks = []
-    all_pass = True
-    for t in balanced_types_upto(n_max):
-        a = identity_exponent_count(t)
-        b = identity_partition(t)
-        c = identity_critical_gamma(t)
-        all_pass = all_pass and a and b and c
-        checks.append({
-            "type": t,
-            "exponent_count": a,
-            "partition": b,
-            "critical_gamma": c,
-        })
+def _run_identities(n_max=10):
+    checks = [{"type": t, "exponent_count": identity_exponent_count(t),
+               "partition": identity_partition(t), "critical_gamma": identity_critical_gamma(t)}
+              for t in balanced_types_upto(n_max)]
+    all_pass = all(c["exponent_count"] and c["partition"] and c["critical_gamma"]
+                   for c in checks)
     return {"checks": checks, "all_pass": all_pass}, all_pass
 
 
-def _holder_functions(fn_cfg: Any, fams: list[Symmetry], repetition: int,
-                      fallback_seed: int):
-    if fn_cfg is None:
-        fn_cfg = {"kind": "random-symmetric"}
-    _require(isinstance(fn_cfg, dict) and "kind" in fn_cfg, "functions",
-             "expected an object with a 'kind'")
-    kind = fn_cfg["kind"]
-    if kind == "random-symmetric":
-        amplitude = _number(fn_cfg.get("amplitude", 1.0), "functions.amplitude")
-        _require(amplitude >= 0, "functions.amplitude", "nonnegative number required")
-        seed = _number(fn_cfg.get("seed", fallback_seed), "functions.seed", integer=True)
-        _require(seed >= 0, "functions.seed", "nonnegative integer required")
-        base = seed + 977 * repetition
-        try:
-            return random_block_invariants(
-                fams, [base + 101 * j for j in range(len(fams))], amplitude)
-        except OverflowError as exc:  # a range [-amplitude, amplitude] too wide
-            raise InputError("functions.amplitude", str(exc)) from exc
-    if kind == "extremal":
-        _require("gamma" in fn_cfg and "trunc" in fn_cfg, "functions",
-                 "extremal functions need gamma and trunc")
-        params = _at("functions", ExtremalParams,
-                     gamma=_number(fn_cfg["gamma"], "functions.gamma"),
-                     trunc=_number(fn_cfg["trunc"], "functions.trunc"))
-        return [extremal_function(s, params) for s in fams]
-    if kind == "constant":
-        value = _number(fn_cfg.get("value", 1.0), "functions.value")
-        _require(value >= 0, "functions.value", "nonnegative number required")
-        return [constant_integrand(s.n, value, tag=s) for s in fams]
-    raise InputError("functions.kind", f"unknown kind {kind!r}")
-
-
-def _run_verify_holder(payload: dict) -> tuple[dict, bool | None]:
-    quad = _quad_config(payload.get("quad"), "quad")
-    t, fams, exps = _members(payload)
-    if "ps" in payload:
-        ps = payload["ps"]
-        _require(isinstance(ps, list) and len(ps) == len(fams), "ps",
-                 f"expected {len(fams)} exponents")
-        ps = [_number(p, f"ps[{j}]") for j, p in enumerate(ps)]
-    else:
-        ps = [_number(payload.get("p", max(exps)), "p")] * len(fams)
-    count = _number(payload.get("count", 1), "count", integer=True)
-    _require(1 <= count <= 1000, "count", "integer in [1, 1000] required")
-    fs_sets = [_holder_functions(payload.get("functions"), fams,
-                                 repetition=rep, fallback_seed=quad.seed)
-               for rep in range(count)]
+def _run_verify_holder(type=None, families=None, p=None, ps=None, count=1,
+                       functions=_functions(None, "functions"), quad=QuadConfig()):
+    fams, exps = _members(type, families)
+    key = "p" if ps is None else "ps"  # a p below the sharp exponent is reported here
+    if ps is None:
+        ps = [float(max(exps)) if p is None else p] * len(fams)
+    fs_sets = [functions(fams, rep, quad.seed) for rep in range(count)]
     try:
-        # a p below the sharp exponent, reported at the key that gave it
-        records = _at("ps" if "ps" in payload else "p", holder_verify_sets,
-                      fams, fs_sets, ps, quad)
+        records = _at(key, holder_verify_sets, fams, fs_sets, ps, quad)
     except NonFiniteSampleError as exc:
         raise InputError("functions", f"{exc} (or its p-th power overflows)") from exc
     ok = all(r.passed for r in records)
-    return {
-        "type_label": "family" if t is None else f"{t.n},{list(t.lengths)}",
-        "records": records,
-        "all_pass": ok,
-    }, ok
+    label = "family" if type is None else f"{type.n},{list(type.lengths)}"
+    return {"type_label": label, "records": records, "all_pass": ok}, ok
 
 
-def _run_verify_sharpness(payload: dict) -> tuple[dict, bool | None]:
-    t = _balanced_type(payload.get("type"), "type")
-    _require("p" in payload, "p", "exponent p required")
-    p = _number(payload["p"], "p")
-    _require(p > 0, "p", "positive exponent required")
-    quad = _quad_config(payload.get("quad"), "quad")
-    eps_grid = _grid(payload.get("eps_grid"), "eps_grid", default_eps_grid(), 3,
-                     descending=True)
-    gamma = payload.get("gamma")
+def _run_verify_sharpness(type, p, gamma=None, eps_grid=_EPS_GRID, cap=DEFAULT_CAP,
+                          quad=QuadConfig()):
     if gamma is not None:
-        gamma = _number(gamma, "gamma")
         _at("gamma", ExtremalParams, gamma, eps_grid[-1])  # raises unless gamma > 0
-    cap = _cap(payload)
+    _at("p", extremal._sharpness_gamma, type, p, gamma)  # raises unless gamma * p < 1
     try:
-        report = sharpness_experiment(t, p, quad, eps_grid=eps_grid, gamma=gamma, cap=cap)
-    except (ValueError, OverflowError, CapExceededError, NonFiniteSampleError) as exc:
-        raise InputError("input", str(exc)) from exc
-    return {"report": report, "type": t}, report.passed
+        report = sharpness_experiment(type, p, quad, eps_grid=eps_grid, gamma=gamma, cap=cap)
+    except CapExceededError as exc:
+        raise InputError("cap", str(exc)) from exc
+    except (NonFiniteSampleError, OverflowError) as exc:  # a p-th power overflows
+        raise InputError("p", str(exc)) from exc
+    return {"report": report, "type": type}, report.passed
 
 
-def _run_verify_local(payload: dict) -> tuple[dict, bool | None]:
-    _, fams, exps = _members(payload)
-    eta = _number(payload.get("eta", 0.1), "eta")
-    _require(eta > 0, "eta", "positive eta required")
-    quad = _quad_config(payload.get("quad"), "quad")
-    r_grid = _grid(payload.get("r_grid"), "r_grid", default_r_grid(), 4,
-                   descending=False)
-    window = payload.get("slope_window")
-    if window is not None:
-        _require(isinstance(window, list) and len(window) == 2, "slope_window",
-                 "expected [lo, hi]")
-        window = [_number(w, f"slope_window[{k}]") for k, w in enumerate(window)]
-        _require(window[0] <= window[1], "slope_window", "expected lo <= hi")
+def _run_verify_local(type=None, families=None, eta=0.1, r_grid=_R_GRID,
+                      slope_window=None, quad=QuadConfig()):
+    fams, exps = _members(type, families)
     try:
         report = local_growth_experiment(fams, exps, eta, r_grid, quad)
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, NonFiniteSampleError) as exc:
         raise InputError("r_grid", str(exc)) from exc
-    except NonFiniteSampleError as exc:
-        raise InputError("input", str(exc)) from exc
     # the growth bound caps the admissible slope at delta
     passed = report.fitted_slope <= float(report.delta_target) + 3 * report.slope_stderr
-    if window is not None:
-        passed = passed and window[0] <= report.fitted_slope <= window[1]
+    if slope_window is not None:
+        passed = passed and slope_window[0] <= report.fitted_slope <= slope_window[1]
     return {"report": report, "passed": passed}, passed
 
 
-_HANDLERS = {
-    "decompose": _run_decompose,
-    "exponents": _run_exponents,
-    "enumerate": _run_enumerate,
-    "identities": _run_identities,
-    "verify-holder": _run_verify_holder,
-    "verify-sharpness": _run_verify_sharpness,
-    "verify-local": _run_verify_local,
+# --- the mode table -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Mode:
+    """One subcommand: ``run`` gets the fields that :func:`_fields` parses,
+    ``summary`` and the rows of ``csv`` (header, rows) the results."""
+
+    fields: dict[str, Callable[[Any, str], Any]]
+    run: Callable[..., tuple[dict, bool | None]]
+    summary: Callable[..., str]
+    required: tuple[str, ...] = ()
+    alternatives: tuple[frozenset, ...] = ()
+    csv: tuple[tuple[str, ...], Callable[..., list]] | None = None
+    flags: dict[str, str] = dataclasses.field(default_factory=dict)  # flag: help
+    list_field: str | None = None  # the field that a JSON list at the root gives
+
+
+#: Integer flags that override ``quad``; the others set their scenario field.
+_QUAD_FLAGS = {"seed": "override the quadrature seed", "samples": "override the sample count"}
+_MEMBERS = frozenset({"type", "families"})
+
+_MODES = {
+    "decompose": _Mode(
+        {"n": _dimension, "edges": _pairs, "close": _flag}, _run_decompose,
+        lambda symmetry, **_: "blocks {alphas} free {r}".format(**_encode(symmetry)),
+        required=("n", "edges"),
+        flags={"close": "apply the Lie closure before decomposing"}),
+    "exponents": _Mode(
+        {"n": _dimension, "lengths": _lengths,
+         "families": lambda value, path: _at(path or "scenario", report_for_family,
+                                             _family(value, path))},
+        _run_exponents,
+        lambda report, **_: (f"p={report.p_uniform} j_count={report.j_count} "
+                             f"delta={report.delta.numerator}/{report.delta.denominator} "
+                             f"overcount={report.overcount}"),
+        required=("n", "lengths"), list_field="families",
+        alternatives=(frozenset({"families", "n"}), frozenset({"families", "lengths"}))),
+    "enumerate": _Mode(
+        {"n": _dimension, "lengths": _lengths, "cap": _bounded(1, integer=True),
+         "classes": _flag}, _run_enumerate,
+        lambda count, class_count=None, **_: f"count={count}" + (
+            "" if class_count is None else f" classes={class_count}"),
+        required=("n", "lengths"),
+        flags={"classes": "group symmetries differing by block order"}),
+    "identities": _Mode(
+        {"n_max": _bounded(3, 16, integer=True)}, _run_identities,
+        lambda checks, all_pass: f"checked {len(checks)} types, all_pass={all_pass}"),
+    "verify-holder": _Mode(
+        {"type": _type, "families": _family, "p": _number, "ps": _numbers,
+         "count": _bounded(1, 1000, integer=True), "functions": _functions, "quad": _quad},
+        _run_verify_holder,
+        lambda records, all_pass, **_: f"{len(records)} run(s), all_pass={all_pass}",
+        required=("families",), alternatives=(_MEMBERS, frozenset({"p", "ps"})),
+        csv=(("type", "p", "LHS", "RHS", "margin", "pass"),
+             lambda type_label, records, **_: [
+                 [type_label, rec.ps[0] if rec.ps else "", repr(rec.lhs.value),
+                  repr(rec.rhs_value), repr(rec.margin), rec.passed] for rec in records]),
+        flags=_QUAD_FLAGS),
+    "verify-sharpness": _Mode(
+        {"type": _type, "p": _positive,
+         "gamma": lambda value, path: None if value is None else _number(value, path),
+         "eps_grid": _grid(_EPS_GRID, 3, descending=True),
+         "cap": _bounded(1, integer=True), "quad": _quad},
+        _run_verify_sharpness,
+        lambda report, **_: (f"slope={report.slope:.4g} (+-{report.slope_stderr:.2g}) "
+                             f"rhs_converged={report.rhs_converged} passed={report.passed}"),
+        required=("type", "p"),
+        csv=(("eps", "lhs", "lhs_stderr", "pass"), lambda report, **_: [
+            [repr(eps), repr(est.value), repr(est.stderr), report.passed]
+            for eps, est in zip(report.eps_grid, report.lhs)]),
+        flags=_QUAD_FLAGS),
+    "verify-local": _Mode(
+        {"type": _type, "families": _family, "eta": _positive,
+         "r_grid": _grid(_R_GRID, 4, descending=False), "slope_window": _window,
+         "quad": _quad},
+        _run_verify_local,
+        lambda report, **_: (
+            f"slope={report.fitted_slope:.4g} (+-{report.slope_stderr:.2g}) "
+            f"target={report.delta_target.numerator}/{report.delta_target.denominator}"),
+        required=("families",), alternatives=(_MEMBERS,),
+        csv=(("R", "lhs", "lhs_stderr"), lambda report, **_: [
+            [repr(r), repr(est.value), repr(est.stderr)]
+            for r, est in zip(report.r_grid, report.lhs)]),
+        flags=_QUAD_FLAGS),
 }
 
 
 def run(scenario: Scenario) -> RunRecord:
-    """Dispatch a validated scenario and wrap the results."""
-    if scenario.mode not in _HANDLERS:
-        raise InputError("mode", f"unknown mode {scenario.mode!r}")
-    if scenario.mode != "exponents":  # the one mode that also takes a list
-        _require(isinstance(scenario.payload, dict), "scenario", "expected a JSON object")
-    if isinstance(scenario.payload, dict):
-        given: list[str] = []
-        for key in scenario.payload:
-            _require(key in _FIELDS[scenario.mode], key, "unknown field")
-            for first in given:
-                _require({first, key} not in _ALTERNATIVES, key,
-                         f"alternative to {first}: give only one of them")
-            given.append(key)
+    """Walk a scenario through its mode's entry and wrap the results."""
+    _require(scenario.mode in _MODES, "mode", f"unknown mode {scenario.mode!r}")
+    mode, payload = _MODES[scenario.mode], scenario.payload
     start = time.perf_counter()
-    results, passed = _HANDLERS[scenario.mode](scenario.payload)
-    return RunRecord(
-        scenario=scenario,
-        tool_version=__version__,
-        rng_algorithm=RNG_ALGORITHM,
-        wall_time_s=time.perf_counter() - start,
-        results=results,
-        passed=passed,
-    )
-
-
-# --- CSV ------------------------------------------------------------------------
+    if mode.list_field and isinstance(payload, list):
+        values = {mode.list_field: mode.fields[mode.list_field](payload, "")}
+    else:
+        values = _fields(payload, "", mode.fields, "a JSON object", mode.required,
+                         mode.alternatives)
+    results, passed = mode.run(**values)
+    return RunRecord(scenario, __version__, RNG_ALGORITHM, time.perf_counter() - start,
+                     results, passed)
 
 
 def emit_csv(record: RunRecord, path: str) -> None:
     """Write the series data of a record as RFC 4180 CSV (header always)."""
     mode = record.scenario.mode
-    results = record.results
+    _require(_MODES[mode].csv is not None, "csv", f"mode {mode!r} produces no series data")
+    header, rows = _MODES[mode].csv
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if mode == "verify-sharpness":
-            writer.writerow(["eps", "lhs", "lhs_stderr", "pass"])
-            rep = results["report"]
-            for eps, est in zip(rep.eps_grid, rep.lhs):
-                writer.writerow([repr(eps), repr(est.value), repr(est.stderr), rep.passed])
-        elif mode == "verify-local":
-            writer.writerow(["R", "lhs", "lhs_stderr"])
-            rep = results["report"]
-            for r, est in zip(rep.r_grid, rep.lhs):
-                writer.writerow([repr(r), repr(est.value), repr(est.stderr)])
-        elif mode == "verify-holder":
-            writer.writerow(["type", "p", "LHS", "RHS", "margin", "pass"])
-            for rec in results["records"]:
-                writer.writerow([
-                    results["type_label"],
-                    rec.ps[0] if rec.ps else "",
-                    repr(rec.lhs.value),
-                    repr(rec.rhs_value),
-                    repr(rec.margin),
-                    rec.passed,
-                ])
-        else:
-            raise InputError("csv", f"mode {mode!r} produces no series data")
+        writer.writerow(header)
+        writer.writerows(rows(**record.results))
 
 
 # --- entry point -----------------------------------------------------------------
@@ -527,36 +556,6 @@ def _load_payload(arg: str | None) -> Any:
         raise InputError("scenario", f"invalid JSON: {exc}")
 
 
-def _summary(record: RunRecord) -> str:
-    mode = record.scenario.mode
-    res = record.results
-    if mode == "decompose":
-        sym = _encode(res["symmetry"])
-        return f"blocks {sym['alphas']} free {sym['r']}"
-    if mode == "exponents":
-        rep = res["report"]
-        return (f"p={rep.p_uniform} j_count={rep.j_count} "
-                f"delta={rep.delta.numerator}/{rep.delta.denominator} "
-                f"overcount={rep.overcount}")
-    if mode == "enumerate":
-        extra = f" classes={res['class_count']}" if "class_count" in res else ""
-        return f"count={res['count']}{extra}"
-    if mode == "identities":
-        return f"checked {len(res['checks'])} types, all_pass={res['all_pass']}"
-    if mode == "verify-holder":
-        return f"{len(res['records'])} run(s), all_pass={res['all_pass']}"
-    if mode == "verify-sharpness":
-        rep = res["report"]
-        return (f"slope={rep.slope:.4g} (+-{rep.slope_stderr:.2g}) "
-                f"rhs_converged={rep.rhs_converged} passed={rep.passed}")
-    if mode == "verify-local":
-        rep = res["report"]
-        tgt = rep.delta_target
-        return (f"slope={rep.fitted_slope:.4g} (+-{rep.slope_stderr:.2g}) "
-                f"target={tgt.numerator}/{tgt.denominator}")
-    return ""
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spherebl",
@@ -564,25 +563,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "enumeration and Monte Carlo verification")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in MODES:
-        sp = sub.add_parser(mode)
+    for name, mode in _MODES.items():
+        sp = sub.add_parser(name)
         sp.add_argument("scenario", nargs="?", default=None,
                         help="scenario JSON file ('-' for stdin)")
-        if "quad" in _FIELDS[mode]:
-            sp.add_argument("--seed", type=int, default=None,
-                            help="override the quadrature seed")
-            sp.add_argument("--samples", type=int, default=None,
-                            help="override the sample count")
+        for flag, text in mode.flags.items():
+            sp.add_argument(f"--{flag}", help=text, **(
+                {"type": int} if flag in _QUAD_FLAGS else {"action": "store_true"}))
         sp.add_argument("--json", action="store_true",
                         help="print the full run record as JSON")
         sp.add_argument("--csv", metavar="PATH", default=None,
                         help="write series data as CSV")
-        if mode == "decompose":
-            sp.add_argument("--close", action="store_true",
-                            help="apply the Lie closure before decomposing")
-        if mode == "enumerate":
-            sp.add_argument("--classes", action="store_true",
-                            help="group symmetries differing by block order")
     return parser
 
 
@@ -600,9 +591,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise InputError(_WORKERS_ENV, str(exc)) from exc
         payload = _load_payload(args.scenario)
         if isinstance(payload, dict):
-            for flag in ("close", "classes"):
-                if getattr(args, flag, False):
-                    payload[flag] = True
+            payload.update({f: True for f in ("close", "classes") if getattr(args, f, False)})
             override = {key: value for key in ("seed", "samples")
                         if (value := getattr(args, key, None)) is not None}
             quad = payload.get("quad")
@@ -615,10 +604,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             json.dump(_encode(record), sys.stdout, indent=2)
             sys.stdout.write("\n")
         else:
-            print(f"{args.mode}: {_summary(record)}")
-        if record.passed is None:
-            return 0
-        return 0 if record.passed else 2
+            print(f"{args.mode}: {_MODES[args.mode].summary(**record.results)}")
+        return 2 if record.passed is False else 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

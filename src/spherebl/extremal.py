@@ -77,16 +77,22 @@ from .symmetry import Symmetry
 
 @dataclass(frozen=True)
 class ExtremalParams:
-    """Singularity strength and truncation floor: the one check of
-    gamma > 0; the floor is checked as a one-point grid (see :func:`_grid`)."""
+    """Singularity strength and truncation floor: gamma must be positive,
+    and the floor is checked as a one-point grid (see :func:`_grid`)."""
 
     gamma: float
     trunc: float
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+        _positive("gamma", self.gamma)
         _grid([self.trunc], 1, descending=True)
+
+
+def _positive(name: str, value: float) -> float:
+    """``value``; the one check that ``name`` (``p``, ``eta``, ``gamma``) is positive."""
+    if not value > 0:
+        raise ValueError(f"{name} must be positive")
+    return value
 
 
 def default_eps_grid() -> list[float]:
@@ -315,8 +321,7 @@ def norm_boundary_scan(s: Symmetry, gamma: float, p: float,
     where ||f_eps||_p^p is fitted against log(1/eps) ("log" model).
     """
     eps_grid = _grid(eps_grid, 3, descending=True)
-    if not p > 0:
-        raise ValueError("p must be positive")
+    _positive("p", p)
     ExtremalParams(gamma, eps_grid[-1])  # raises unless gamma > 0
     kernel = _extremal_kernel(s, gamma, eps_grid)
 
@@ -390,6 +395,15 @@ def _increment_decay(eps_grid, values, samples, n):
     return fit, median, levels
 
 
+def _sharpness_gamma(t: BalancedType, p: float, gamma: float | None) -> float:
+    """The strength of a sharpness run, ``gamma`` or by default 1/p_sharp of
+    ``t``; the one check that gamma * p < 1, which keeps every norm finite."""
+    g = float(gamma) if gamma is not None else 1.0 / balanced_exponent(t)
+    if g * p >= 1.0 + 1e-12:
+        raise ValueError(f"gamma * p = {g * p} >= 1 makes every norm infinite")
+    return g
+
+
 def sharpness_experiment(t: BalancedType, p: float, cfg: QuadConfig,
                          eps_grid: Sequence[float] | None = None,
                          gamma: float | None = None,
@@ -417,12 +431,8 @@ def sharpness_experiment(t: BalancedType, p: float, cfg: QuadConfig,
     """
     eps_grid = _grid(default_eps_grid() if eps_grid is None else eps_grid, 3,
                      descending=True)
-    if not p > 0:
-        raise ValueError("p must be positive")
-    g = float(gamma) if gamma is not None else 1.0 / balanced_exponent(t)
+    g = _sharpness_gamma(t, _positive("p", p), gamma)
     ExtremalParams(g, eps_grid[-1])  # raises unless g > 0
-    if g * p >= 1.0 + 1e-12:
-        raise ValueError(f"gamma * p = {g * p} >= 1 makes every norm infinite")
 
     fams = enumerate_symmetries(t, cap=cap)
     kernels = [_extremal_kernel(s, g, eps_grid) for s in fams]
@@ -500,10 +510,7 @@ def local_growth_experiment(fams: Sequence[Symmetry], exps: Sequence[int],
     fitted over the trailing half of the radius grid (log-log OLS).
     """
     r_grid = _grid(r_grid, 4, descending=False)
-    if len(fams) != len(exps):
-        raise ValueError("one exponent per family member required")
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    _positive("eta", eta)
     n = fams[0].n
     delta = local_delta(fams, exps)
 

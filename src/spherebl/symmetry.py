@@ -49,10 +49,17 @@ from .errors import DimensionMismatchError, EmptySymmetryError, NotMaximalError
 MAX_DIMENSION = 64
 
 
-def _check_dimension(n: int) -> None:
-    """The one check of the ambient dimension (a boolean is below 3)."""
+def _check_dimension(n: int) -> int:
+    """``n``; the one check of the ambient dimension (a boolean is below 3)."""
     if not (isinstance(n, int) and 3 <= n <= MAX_DIMENSION):
         raise ValueError(f"dimension must lie in [3, {MAX_DIMENSION}], got {n!r}")
+    return n
+
+
+def _check_edge(n: int, i: int, j: int) -> None:
+    """The one check of an edge (i, j) on n coordinates."""
+    if not 1 <= i < j <= n:
+        raise ValueError(f"edge ({i}, {j}) needs i<j, both in [1, {n}]")
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -156,9 +163,7 @@ class EdgeSet:
         _check_dimension(self.n)
         norm = frozenset((int(i), int(j)) for i, j in self.edges)
         for i, j in norm:
-            if not (1 <= i < j <= self.n):
-                raise ValueError(
-                    f"edge ({i}, {j}) must satisfy 1 <= i < j <= {self.n}")
+            _check_edge(self.n, i, j)
         object.__setattr__(self, "edges", norm)
 
     @classmethod

@@ -24,7 +24,7 @@ from spherebl import (
     critical_gamma,
     edge_membership_count,
     enumerate_symmetries,
-    holder_verify,
+    holder_verify_sets,
     identity_exponent_count,
     identity_partition,
     j_max,
@@ -33,7 +33,7 @@ from spherebl import (
     norm_boundary_scan,
     overcount_factor,
     per_function_exponents,
-    random_block_invariant,
+    random_block_invariants,
     sharpness_experiment,
     uniform_exponent,
 )
@@ -131,12 +131,11 @@ def _holder_records(run: int = 0):
         fams = enumerate_symmetries(t)
         p = float(balanced_exponent(t))
         cfg = QuadConfig(samples=1_000_000, seed=555, shards=4)
-        records = []
-        for rep in range(20):
-            fs = [random_block_invariant(s, seed=90_000 + 1000 * rep + j)
-                  for j, s in enumerate(fams)]
-            records.append(holder_verify(fams, fs, [p] * len(fams), cfg))
-        out[t.lengths] = records
+        # the 20 function sets share one sample stream, so one pass checks them all
+        fs_sets = [random_block_invariants(fams, [90_000 + 1000 * rep + j
+                                                  for j in range(len(fams))])
+                   for rep in range(20)]
+        out[t.lengths] = holder_verify_sets(fams, fs_sets, [p] * len(fams), cfg)
     return out
 
 

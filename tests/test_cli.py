@@ -449,15 +449,28 @@ class TestScenarioValues:
         ("verify-sharpness", "gamma", -0.5, "gamma"),
         ("verify-sharpness", "gamma", 0, "gamma"),
         ("verify-holder", "p", 1.5, "p"),
+        # the rules of the sharpness run, reported at the key that sets them:
+        # gamma * p < 1 (gamma given or 1/p_sharp), the cap, finite p-th powers
+        ("verify-sharpness", "p", 2.5, "p"),
+        ("verify-sharpness", "*", {"p": 2.5, "gamma": None}, "p"),
+        ("verify-sharpness", "*", {"type": {"n": 9, "lengths": [2]}, "cap": 10}, "cap"),
+        ("verify-sharpness", "*", {"p": 1e300, "gamma": 1e-301}, "p"),
+        # the library's positivity and edge rules
+        ("verify-sharpness", "p", 0, "p"),
+        ("verify-local", "eta", 0, "eta"),
+        ("decompose", "edges", [[1, 2], [3, 5]], "edges[1]"),
+        ("exponents", "families", [{"n": 4, "edges": [[0, 1]]}], "families[0].edges[0]"),
     ])
     def test_bad_value_is_input_error(self, tmp_path, capsys, mode, key, value, path):
         payload = dict(self.BASE[mode])
-        if key.startswith("+"):
-            key = key[1:]
+        if key == "*":  # several fields at once, None dropping one
+            payload = {k: v for k, v in {**payload, **value}.items() if v is not None}
+        elif key.startswith("+"):
+            payload[key[1:]] = value
         else:  # a family list stands in for the type (or n and lengths), ps for p
             for alternative in self.ALTERNATIVES.get(key, ()):
                 payload.pop(alternative, None)
-        payload[key] = value
+            payload[key] = value
         assert main([mode, write(tmp_path, "s.json", payload)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
@@ -468,6 +481,15 @@ class TestScenarioValues:
     def test_non_object_scenario_is_input_error(self, tmp_path, capsys):
         assert main(["identities", write(tmp_path, "s.json", [1, 2])]) == 1
         assert "scenario: expected a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload, message", [
+        ([], "nonempty list of edge sets required"),
+        ([{"n": 3, "edges": [[1, 2]]}, {"n": 4, "edges": [[1, 2]]}], "family mixes"),
+        (7, "expected a JSON object"),
+    ])
+    def test_root_of_a_scenario_is_named_scenario(self, tmp_path, capsys, payload, message):
+        assert main(["exponents", write(tmp_path, "s.json", payload)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: scenario: {message}")
 
     def test_overrides_leave_a_bad_quad_to_validation(self, tmp_path, capsys):
         payload = dict(self.BASE["verify-local"], quad="fast")
@@ -495,6 +517,30 @@ class TestUnknownFields:
         payload = dict(self.VALID[mode], sampels=5)
         assert main([mode, write(tmp_path, "s.json", payload)]) == 1
         assert capsys.readouterr().err.startswith("error: sampels: unknown field")
+
+    @pytest.mark.parametrize("mode, payload, key", [
+        ("verify-holder", {**VALID["verify-holder"], "functions": {
+            "kind": "random-symmetric", "seed": 3, "amplitud": 5}}, ("functions", "amplitud")),
+        ("verify-holder", {**VALID["verify-holder"], "functions": {
+            "kind": "constant", "value": 2.0, "amplitude": 1}}, ("functions", "amplitude")),
+        ("verify-local", {**VALID["verify-local"], "r_grid": {
+            "kind": "dyadic", "min_exp": 0, "max_exp": 10, "base": 3}}, ("r_grid", "base")),
+        ("verify-sharpness", {**VALID["verify-sharpness"], "type": {
+            "n": 3, "lengths": [2], "x": 1}}, ("type", "x")),
+        ("exponents", {"families": [{"n": 3, "edges": [[1, 2]], "extra": 1}]},
+         ("families", 0, "extra")),
+    ])
+    def test_unknown_nested_key_is_input_error(self, tmp_path, capsys, mode, payload, key):
+        *head, last = key
+        parent = payload
+        for step in head:
+            parent = parent[step]
+        value = parent.pop(last)
+        assert main([mode, write(tmp_path, "s.json", payload)]) == 0
+        parent[last] = value
+        assert main([mode, write(tmp_path, "s.json", payload)]) == 1
+        path = ".".join(str(k) for k in key).replace(".0.", "[0].")
+        assert capsys.readouterr().err.startswith(f"error: {path}: unknown field")
 
     def test_second_of_two_alternatives_is_the_error(self, tmp_path, capsys):
         payload = {"families": [{"n": 3, "edges": [[1, 2]]}],
@@ -644,3 +690,6 @@ def test_mutated_readme_scenarios_never_raise(scenario):
         code = main([mode, "-", "--json"] + flags)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    # an unknown key is rejected at whatever level it was added
+    if any(isinstance(p[-1], str) and p[-1].startswith("extra_") for p in _nodes(payload)):
+        assert code == 1
