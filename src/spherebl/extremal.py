@@ -70,7 +70,6 @@ from .quadrature import (
     mc_ball_estimates,
     mc_sphere_estimates,
     _power_transform,
-    _product,
 )
 from .symmetry import Symmetry
 
@@ -443,7 +442,8 @@ def sharpness_experiment(t: BalancedType, p: float, cfg: QuadConfig,
         parts = [k(pts) for k in kernels]
         for j, (base, k_idx, p_idx, vals) in enumerate(parts):
             _fill_rows(out[:, 1 + j, :], base, k_idx, p_idx, vals)
-        _product(out)
+        # the product of the member rows, taken in member order
+        np.multiply.reduce(out[:, 1:, :], axis=1, out=out[:, 0, :])
         # p-th powers: one of each base, broadcast, and one of the pairs
         for j, (base, k_idx, p_idx, vals) in enumerate(parts):
             _fill_rows(out[:, 1 + j, :], base ** p, k_idx, p_idx, vals ** p)

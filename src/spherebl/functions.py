@@ -7,7 +7,8 @@ assumption of the product inequalities holds automatically.
 The random block invariants of a whole family are one kernel,
 :func:`random_block_invariants`: an :class:`IntegrandStack` that fills every
 member's row in a few large numpy calls, sharing the block radii the
-members have in common.  :func:`random_block_invariant` is its one-member
+members have in common.  Its rows are the logarithms of the values, as
+for every stack; :func:`random_block_invariant` is exp of its one-member
 case, so a function's values do not depend on which form evaluates it.
 """
 
@@ -47,13 +48,14 @@ def random_block_invariants(fams: Sequence[Symmetry], seeds: Sequence[int],
     """:func:`random_block_invariant` of every ``fams[j]`` with seed
     ``seeds[j]``, as one stack.
 
-    Each member draws its coefficients exactly as the single function does,
-    so row j of the stack equals the single function's values bit for bit.
-    One evaluation computes the squared block radius of every distinct block
-    and the square of every distinct free coordinate of the family once,
-    into one small array, then builds each member's exponent sum in the
-    single function's term order, a group of member rows at a time, and
-    exponentiates in place.
+    Like every stack, it writes the logarithms of the values: row j is
+    member j's exponent sum S_j, whose exp equals the single function's
+    values bit for bit, since each member draws its coefficients exactly as
+    the single function does.  One evaluation computes the squared block
+    radius of every distinct block and the square of every distinct free
+    coordinate of the family once, into one small array, then builds each
+    member's exponent sum in the single function's term order, a group of
+    member rows at a time.
     """
     rows: dict[tuple[int, ...], int] = {}
     index, coeffs = [], []
@@ -96,7 +98,6 @@ def random_block_invariants(fams: Sequence[Symmetry], seeds: Sequence[int],
                 np.take(u, ix[:, t], axis=0, out=tmp, mode="clip")
                 tmp *= cf[:, t:t + 1]
                 acc += tmp
-            np.exp(acc, out=acc)
 
     return IntegrandStack(n=fams[0].n, tags=tuple(fams), fill=fill)
 
@@ -108,7 +109,7 @@ def random_block_invariant(s: Symmetry, seed: int, amplitude: float = 1.0) -> In
     the squared free coordinates, and the a_i are uniform in
     [-amplitude, amplitude], drawn from a Philox stream seeded by ``seed``
     (blocks first, then free coordinates).  Values stay within
-    e^(+-amplitude * #terms).  This is the one-member case of
+    e^(+-amplitude * #terms).  This is exp of the one-member case of
     :func:`random_block_invariants`.
     """
     stack = random_block_invariants([s], [seed], amplitude)
@@ -116,7 +117,7 @@ def random_block_invariant(s: Symmetry, seed: int, amplitude: float = 1.0) -> In
     def ev(pts: np.ndarray) -> np.ndarray:
         out = np.empty((1, len(pts)))
         stack.fill(pts, out)
-        return out[0]
+        return np.exp(out[0], out=out[0])
 
     return Integrand(n=s.n, eval=ev, symmetry_tag=s)
 

@@ -14,13 +14,18 @@ numpy builds is not promised.
 
 One estimator pass evaluates any number of value series on one shared
 stream of points; the experiments put every grid point and repetition into
-a single pass this way.  A pass takes one callback, ``fill(points, out)``,
-the signature of :attr:`IntegrandStack.fill`: each shard job owns one
-(series, chunk) block of values, and for every chunk of m points it hands
-``fill`` a C-contiguous (series, m) view of that block to overwrite, then
-reduces the block in place.  The chunk a pass evaluates at a time shrinks
-with the number of series (:data:`_CHUNK_BUDGET`), so the last bit of a
-sum can depend on the series count, never the points themselves.
+a single pass this way.  A pass takes one callback, ``fill(points, out)``:
+each shard job owns one (series, chunk) block of values, and for every
+chunk of m points it hands ``fill`` a C-contiguous (series, m) view of that
+block to overwrite, then reduces the block in place.  The chunk a pass
+evaluates at a time shrinks with the number of series
+(:data:`_CHUNK_BUDGET`), so the last bit of a sum can depend on the series
+count, never the points themselves.
+
+The product-versus-norms check works in log space.
+:attr:`IntegrandStack.fill` has the signature of ``fill`` but writes log f,
+and the check turns those rows into the product exp(sum_j log f_j) and the
+powers exp(p_j log f_j) in place.
 
 Estimates carry the plain MC standard error (sample standard deviation /
 sqrt(samples)).  The variance is merged from per-chunk (count, sum, sum of
@@ -111,10 +116,12 @@ class Integrand:
 class IntegrandStack:
     """Integrands on one sphere that are evaluated together.
 
-    ``fill(points, out)`` writes the values of member i at the (m, n) points
-    into row i of the (len(stack), m) array ``out``, so one kernel can share
-    work between the members and write straight into an estimator's rows.
-    ``tags[i]`` is member i's symmetry tag, as in :class:`Integrand`.
+    ``fill(points, out)`` writes the logarithm of the values of member i at
+    the (m, n) points into row i of the (len(stack), m) array ``out`` (-inf
+    where the value is 0), so one kernel can share work between the members
+    and write straight into an estimator's rows, where the Hoelder check
+    takes products and powers as exp of sums and multiples.  ``tags[i]`` is
+    member i's symmetry tag, as in :class:`Integrand`.
     """
 
     n: int
@@ -126,15 +133,18 @@ class IntegrandStack:
 
     @classmethod
     def of(cls, fs: Sequence[Integrand]) -> "IntegrandStack":
-        """The stack that evaluates each of ``fs`` in turn."""
+        """The stack that evaluates each of ``fs`` in turn and writes the
+        logarithm of its values.  A negative value has no logarithm: its
+        NaN makes the estimator raise :class:`NonFiniteSampleError`."""
         n = fs[0].n
         for j, f in enumerate(fs):
             if f.n != n:
                 raise ValueError(f"integrand {j} has dimension {f.n}, integrand 0 has {n}")
 
         def fill(pts: np.ndarray, out: np.ndarray) -> None:
-            for f, row in zip(fs, out):
-                row[...] = f.eval(pts)
+            with np.errstate(divide="ignore"):  # log 0 = -inf, and exp(-inf) = 0
+                for f, row in zip(fs, out):
+                    np.log(f.eval(pts), out=row)
 
         return cls(n=n, tags=tuple(f.symmetry_tag for f in fs), fill=fill)
 
@@ -229,18 +239,21 @@ def _merge(a, b):
 def _run_shard(points: Iterable[np.ndarray], fill, num_series: int, chunk: int):
     block = np.empty(num_series * chunk)
     acc = (0, np.zeros(num_series), np.zeros(num_series))
-    for pts in points:
-        m = len(pts)
-        vals = block[:num_series * m].reshape(num_series, m)
-        fill(pts, vals)
-        sums = vals.sum(axis=1)
-        # a NaN or infinity anywhere in a row makes that row's sum non-finite
-        if not np.isfinite(sums).all():
-            raise NonFiniteSampleError(
-                "integrand returned a non-finite value; truncate the singularity")
-        vals -= (sums / m)[:, None]
-        vals *= vals
-        acc = _merge(acc, (m, sums, vals.sum(axis=1)))
+    # the row-sum check below reports non-finite values, so numpy's warnings
+    # are silenced; inside the job, since pool threads do not inherit errstate
+    with np.errstate(all="ignore"):
+        for pts in points:
+            m = len(pts)
+            vals = block[:num_series * m].reshape(num_series, m)
+            fill(pts, vals)
+            sums = vals.sum(axis=1)
+            # a NaN or infinity anywhere in a row makes that row's sum non-finite
+            if not np.isfinite(sums).all():
+                raise NonFiniteSampleError(
+                    "integrand returned a non-finite value; truncate the singularity")
+            vals -= (sums / m)[:, None]
+            vals *= vals
+            acc = _merge(acc, (m, sums, vals.sum(axis=1)))
     return acc
 
 
@@ -342,7 +355,10 @@ def sample_sphere(n: int, cfg: QuadConfig) -> Iterator[np.ndarray]:
 
 def integrate_sphere(f: Integrand, cfg: QuadConfig) -> Estimate:
     """MC mean of ``f`` against the normalized uniform measure."""
-    return mc_sphere_estimates(f.n, cfg, IntegrandStack.of([f]).fill, 1)[0]
+    def fill(pts: np.ndarray, out: np.ndarray) -> None:
+        out[0] = f.eval(pts)
+
+    return mc_sphere_estimates(f.n, cfg, fill, 1)[0]
 
 
 def _power_transform(est: Estimate, p: float) -> Estimate:
@@ -358,8 +374,10 @@ def lp_norm_sphere(f: Integrand, p: float, cfg: QuadConfig) -> Estimate:
     """(integral of f^p)^(1/p) with a delta-method standard error."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    power = Integrand(f.n, lambda pts: f.eval(pts) ** p)
-    raw = mc_sphere_estimates(f.n, cfg, IntegrandStack.of([power]).fill, 1)[0]
+    def fill(pts: np.ndarray, out: np.ndarray) -> None:
+        out[0] = f.eval(pts) ** p
+
+    raw = mc_sphere_estimates(f.n, cfg, fill, 1)[0]
     return _power_transform(raw, p)
 
 
@@ -415,10 +433,11 @@ def product_integrand(fs: Sequence[Integrand]) -> Integrand:
 class VerificationRecord:
     """Outcome of one product-versus-norms check.
 
-    ``passed`` is True when LHS <= RHS * (1 + 3 * joint relative stderr),
-    the joint relative error combining the LHS error and the norm errors in
-    quadrature.  ``flags`` lists soft warnings (e.g. untagged integrands
-    whose assumed reflection symmetry could not be checked).
+    ``passed`` is True when LHS <= RHS * (1 + 3 * joint relative stderr +
+    :data:`HOLDER_ROUNDING`), the joint relative error combining the LHS
+    error and the norm errors in quadrature.  ``flags`` lists soft warnings
+    (e.g. untagged integrands whose assumed reflection symmetry could not be
+    checked).
     """
 
     ps: tuple[float, ...]
@@ -432,29 +451,34 @@ class VerificationRecord:
     flags: tuple[str, ...] = ()
 
 
+#: Relative rounding allowance of the Hoelder verdict.  Constant functions
+#: are the equality case and have zero standard error, so without it their
+#: verdict would be decided by the last bits of the sums and powers; it lies
+#: far below any Monte Carlo error.
+HOLDER_ROUNDING = 1e-12
+
+
 def _rel(est: Estimate) -> float:
     return est.stderr / abs(est.value) if est.value else 0.0
-
-
-def _product(out: np.ndarray) -> None:
-    """Write the product of the rows ``out[..., 1 + j, :]``, taken in order
-    j = 0, 1, ..., into ``out[..., 0, :]``."""
-    np.multiply.reduce(out[..., 1:, :], axis=-2, out=out[..., 0, :])
 
 
 def _product_and_powers(out: np.ndarray, ps: Sequence[float]) -> None:
     """Complete the series of one product-versus-norms check in place.
 
-    On entry ``out[..., 1 + j, :]`` holds the values of function j.  Their
-    :func:`_product` goes into ``out[..., 0, :]``, and row 1 + j is raised
-    to ``ps[j]`` in place, one call per run of equal exponents."""
-    _product(out)
-    vals = out[..., 1:, :]
+    On entry ``out[1 + j]`` holds the logarithm of function j's values.
+    The product exp(sum_j log f_j) goes into ``out[0]``, and row 1 + j
+    becomes f_j^p_j = exp(p_j log f_j) in place, one call per run of equal
+    exponents.  This spares a libm ``pow`` per value, which numpy does not
+    vectorize."""
+    logs = out[1:]
+    np.add.reduce(logs, axis=0, out=out[0])
+    np.exp(out[0], out=out[0])
     start = 0
     for p, run in itertools.groupby(ps):
         stop = start + len(list(run))
-        block = vals[..., start:stop, :]
-        block **= p
+        block = logs[start:stop]
+        block *= p
+        np.exp(block, out=block)
         start = stop
 
 
@@ -466,7 +490,7 @@ def _holder_record(ests: Sequence[Estimate], ps: list[float],
     rel_rhs_sq = sum(_rel(e) ** 2 for e in norms)
     rhs_stderr = rhs * math.sqrt(rel_rhs_sq)
     rel_joint = math.sqrt(_rel(lhs) ** 2 + rel_rhs_sq)
-    passed = lhs.value <= rhs * (1.0 + 3.0 * rel_joint)
+    passed = lhs.value <= rhs * (1.0 + 3.0 * rel_joint + HOLDER_ROUNDING)
     return VerificationRecord(
         ps=tuple(ps),
         lhs=lhs,
@@ -487,7 +511,8 @@ def holder_verify(fams: Sequence[Symmetry], fs: Sequence[Integrand],
     ``fs[J]`` must be tagged with ``fams[J]`` (untagged integrands are
     accepted but flagged), and each ``ps[J]`` must reach the sharp
     per-function exponent of the family, below which the inequality has no
-    guarantee.
+    guarantee.  The check works with the logarithms of the values, so a
+    negative value, which has none, raises :class:`NonFiniteSampleError`.
     """
     return holder_verify_sets(fams, [fs], ps, cfg)[0]
 
@@ -501,8 +526,9 @@ def holder_verify_sets(fams: Sequence[Symmetry],
     is evaluated as the stack :meth:`IntegrandStack.of` makes of it.  Both
     sides of every check come from one sample stream: set k adds the
     product and the p-th powers of its functions as 1 + len(ps) series of a
-    single estimator pass.  A stack writes its values straight into the
-    engine's rows; the product and the powers are then taken there in place.
+    single estimator pass.  A stack writes the logarithms of its values
+    straight into the engine's rows; the product and the powers are then
+    taken there in place, as exp of their sum and of their multiples.
     """
     exps = per_function_exponents(fams)
     if len(ps) != len(fams) or any(len(fs) != len(fams) for fs in fs_sets):

@@ -5,8 +5,12 @@ import io
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -264,6 +268,29 @@ class TestRunAndRecord:
 
     def test_missing_file(self, capsys):
         assert main(["decompose", "/nonexistent/x.json"]) == 1
+
+    @pytest.mark.parametrize("mode, extra, code", [
+        ("verify-holder", {"p": 1e300}, 1),
+        ("verify-sharpness", {"p": 1e300, "gamma": 1e-301}, 1),
+        ("verify-local", {"eta": 1e300}, 0),
+    ])
+    def test_overflow_prints_no_numpy_warning(self, mode, extra, code):
+        # a separate process, so standard error is exactly what a user sees;
+        # two workers, so the shard jobs run in pool threads
+        payload = {"type": {"n": 3, "lengths": [2]},
+                   "quad": {"samples": 1000, "seed": 1, "shards": 4}, **extra}
+        root = Path(__file__).resolve().parent.parent
+        path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, SPHEREBL_WORKERS="2",
+                   PYTHONPATH=os.pathsep.join(p for p in path if p))
+        proc = subprocess.run([sys.executable, "-m", "spherebl.cli", mode, "-"],
+                              input=json.dumps(payload), env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == code
+        if code == 0:
+            assert proc.stderr == ""
+        else:  # the CLI's own line only
+            assert re.fullmatch(r"error: [^\n]*\n", proc.stderr), proc.stderr
 
 
 def est(value, stderr, seed):

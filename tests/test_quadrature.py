@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from spherebl import quadrature
 from spherebl import (
     BalancedType,
     EdgeSet,
+    Estimate,
     Integrand,
     IntegrandStack,
     MultiIndex,
@@ -27,6 +29,7 @@ from spherebl import (
     lp_norm_sphere,
     mc_ball_estimates,
     mc_sphere_estimates,
+    per_function_exponents,
     product_integrand,
     random_block_invariant,
     random_block_invariants,
@@ -321,13 +324,79 @@ class TestHolder:
         assert fused == [holder_verify(fams, fs, [2.0] * 3, CFG) for fs in sets]
 
     def test_stack_equals_list_of_integrands(self):
+        # the list's rows are log(exp(S)), the stack's S itself
         fams = enumerate_symmetries(BalancedType(4, (2,)))
         seeds = [40 + 7 * j for j in range(len(fams))]
         sets = [[random_block_invariant(s, seed=sd) for s, sd in zip(fams, seeds)],
                 random_block_invariants(fams, seeds)]
-        stacked = holder_verify_sets(fams, sets, [6.0] * len(fams), CFG)
-        assert stacked[0] == stacked[1]
-        assert stacked[1] == holder_verify(fams, sets[0], [6.0] * len(fams), CFG)
+        listed, stacked = holder_verify_sets(fams, sets, [6.0] * len(fams), CFG)
+        assert listed.passed == stacked.passed
+        for a, b in zip([listed.lhs, *listed.norms], [stacked.lhs, *stacked.norms]):
+            assert a.value == pytest.approx(b.value, rel=1e-13, abs=0)
+            assert a.stderr == pytest.approx(b.stderr, rel=1e-13, abs=0)
+        assert stacked == holder_verify(fams, sets[1], [6.0] * len(fams), CFG)
+
+    def test_log_space_matches_value_domain_at_p_78(self):
+        fams = enumerate_symmetries(BalancedType(6, (2, 2)))
+        ps = [78.0] * len(fams)
+        stack = random_block_invariants(fams, [3 + 101 * j for j in range(len(fams))])
+        cfg = QuadConfig(samples=20_000, seed=5, shards=2)
+        width = 1 + len(fams)
+
+        def log_space(pts, out):
+            stack.fill(pts, out[1:])
+            quadrature._product_and_powers(out, ps)
+
+        def value_domain(pts, out):
+            stack.fill(pts, out[1:])
+            np.exp(out[1:], out=out[1:])
+            np.multiply.reduce(out[1:], axis=0, out=out[0])
+            out[1:] **= 78.0
+
+        got = mc_sphere_estimates(6, cfg, log_space, width)
+        ref = mc_sphere_estimates(6, cfg, value_domain, width)
+        for a, b in zip(got, ref):
+            assert a.value == pytest.approx(b.value, rel=1e-13, abs=0)
+            assert a.stderr == pytest.approx(b.stderr, rel=1e-13, abs=0)
+
+    def test_zero_function_gives_zero_without_warning(self):
+        fams = enumerate_symmetries(BalancedType(3, (2,)))
+        fs = [constant_integrand(3, 0.0, tag=s) for s in fams]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = holder_verify(fams, fs, [2.0] * 3, CFG)
+            out = np.empty((3, 10))
+            IntegrandStack.of(fs).fill(np.eye(3)[[0] * 10], out)
+        assert rec.passed and rec.lhs.value == 0.0
+        assert [e.value for e in rec.norms] == [0.0] * 3
+        assert np.all(out == -np.inf)
+
+    def test_negative_function_is_non_finite(self):
+        fams = enumerate_symmetries(BalancedType(3, (2,)))
+        fs = [constant_integrand(3, 1.0, tag=s) for s in fams]
+        fs[1] = Integrand(3, lambda pts: 0.5 - pts[:, 0] ** 2, symmetry_tag=fams[1])
+        with pytest.raises(NonFiniteSampleError):
+            holder_verify(fams, fs, [2.0] * 3, CFG)
+
+    @pytest.mark.parametrize("t", [BalancedType(3, (2,)), BalancedType(4, (2, 2))])
+    def test_constants_pass_despite_rounding(self, t):
+        # constants are the equality case: zero stderr, so only the rounding
+        # allowance separates lhs and rhs
+        fams = enumerate_symmetries(t)
+        sharp = max(per_function_exponents(fams))
+        cfg = QuadConfig(1000, 91, 1)
+        for p in (sharp, sharp + 0.5, 2 * sharp + 0.1):
+            for c in (0.1, 0.3, 0.7, 1.5, 2.0, 3.0, 7.0, 10.0):
+                fs = [constant_integrand(t.n, c, tag=s) for s in fams]
+                rec = holder_verify(fams, fs, [float(p)] * len(fams), cfg)
+                assert rec.passed, (p, c, rec.margin / rec.rhs_value)
+
+    def test_rounding_allowance_is_not_a_monte_carlo_band(self):
+        def record(lhs):
+            return quadrature._holder_record(
+                [Estimate(lhs, 0.0, 100, 0), Estimate(1.0, 0.0, 100, 0)], [2.0], [])
+        assert record(1.0 + 1e-13).passed
+        assert not record(1.0 + 1e-9).passed
 
     def test_mixed_exponents_match_per_function_powers(self):
         fams = enumerate_symmetries(BalancedType(3, (2,)))
@@ -368,7 +437,7 @@ class TestRandomBlockInvariants:
         stack.fill(pts, out)
         for row, s, seed in zip(out, self.FAMS, seeds):
             single = random_block_invariant(s, seed, amplitude).eval(pts)
-            assert np.array_equal(row, single)
+            assert np.array_equal(np.exp(row), single)  # rows hold log f
 
     def test_single_function_keeps_its_formula(self):
         s = self.FAMS[1]
