@@ -468,8 +468,7 @@ def _product_and_powers(out: np.ndarray, ps: Sequence[float]) -> None:
     On entry ``out[1 + j]`` holds the logarithm of function j's values.
     The product exp(sum_j log f_j) goes into ``out[0]``, and row 1 + j
     becomes f_j^p_j = exp(p_j log f_j) in place, one call per run of equal
-    exponents.  This spares a libm ``pow`` per value, which numpy does not
-    vectorize."""
+    exponents.  This spares a scalar libm ``pow`` per value."""
     logs = out[1:]
     np.add.reduce(logs, axis=0, out=out[0])
     np.exp(out[0], out=out[0])
