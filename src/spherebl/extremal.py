@@ -25,8 +25,12 @@ see a floor act.  One kernel therefore evaluates a whole eps grid as a
 base row, the values under the smallest floor, plus the values at the
 pairs where a larger floor acts; every other value of the grid equals
 the base value to the last bit, and the experiments raise the base row
-and the pairs to their power before they scatter them.  Every grid point
-of an experiment is a value series of one estimator pass over one seeded
+and the pairs to their power before they scatter them.  The kernel looks
+for pairs only at the active points, where some base lies below the
+largest floor (13% of the points of S^2 under the default floors, 2^-3
+down): one cheap pass over all points finds them, and the floor search
+and the pair bookkeeping run on them alone.  Every grid point of an
+experiment is a value series of one estimator pass over one seeded
 sample stream (common random numbers), so grid series are exactly
 monotone where the integrand is, and a truncated norm that has converged
 stops changing to the last bit once eps drops below the sample
@@ -132,12 +136,16 @@ def _extremal_kernel(s: Symmetry, gamma: float, eps_grid: Sequence[float]):
 
     A floor eps changes a base b (|x| or a block radius against eps,
     1 - |x|^2 against eps^2) only where b < eps, and then it changes it
-    under every larger floor too.  So one ``searchsorted`` per base against
-    the ascending floors counts the floors acting on each point, the
-    largest count over its bases gives its pairs, and the floored formula
-    is evaluated once over all pairs with one floor per pair.  Everywhere
-    else max(b, eps) == b, which is the base value bit for bit.  The
-    strength and floors are trusted: every caller has checked them.
+    under every larger floor too.  So the floors acting on a point are
+    those above the least base of each kind there.  One pass keeps these
+    two least bases per point and finds the active points, where the
+    largest floor acts; no floor acts anywhere else.  On the active points
+    alone, one ``searchsorted`` per kind against the ascending floors
+    counts the floors acting on each point, which gives its pairs in
+    point-major order, and the floored formula is evaluated once over all
+    pairs with one floor per pair.  Everywhere else max(b, eps) == b, which
+    is the base value bit for bit.  The strength and floors are trusted:
+    every caller has checked them.
     """
     n = s.n
     tail = [(np.array([i - 1 for i in a.support()], dtype=int), a.weight)
@@ -165,25 +173,30 @@ def _extremal_kernel(s: Symmetry, gamma: float, eps_grid: Sequence[float]):
 
     def ev(pts: np.ndarray):
         m = len(pts)
-        # floors acting on point i: eps_grid[:num - untouched[i]]
-        untouched = np.full(m, num)
+        # the least base of each kind at each point: a floor acts on a point
+        # exactly when it exceeds one of these
+        lo, lo2 = np.full(m, np.inf), np.full(m, np.inf)
         blocks = []
         for cols, w in tail:
             r2 = (pts[:, cols] ** 2).sum(axis=1)
             r, rest_b = np.sqrt(r2), 1.0 - r2
             blocks.append((r, rest_b, w))
-            np.minimum(untouched, np.searchsorted(asc, r, "right"), out=untouched)
-            np.minimum(untouched, np.searchsorted(asc2, rest_b, "right"), out=untouched)
+            np.minimum(lo, r, out=lo)
+            np.minimum(lo2, rest_b, out=lo2)
         single = None
         if singles.size:
             x = pts[:, singles]
             single = (np.abs(x), 1.0 - x * x)
-            for b, floors in zip(single, (asc, asc2)):
-                np.minimum(untouched, np.searchsorted(floors, b, "right").min(axis=1),
-                           out=untouched)
+            np.minimum(lo, single[0].min(axis=1), out=lo)
+            np.minimum(lo2, single[1].min(axis=1), out=lo2)
+        # the active points, where the largest floor acts; no floor acts elsewhere
+        act = np.flatnonzero((lo < asc[-1]) | (lo2 < asc2[-1]))
+        # floors acting on point act[j]: eps_grid[:num - untouched[j]]
+        untouched = np.minimum(np.searchsorted(asc, lo[act], "right"),
+                               np.searchsorted(asc2, lo2[act], "right"))
         # the last floor is the base's, so no pair needs it
         counts = num - np.maximum(untouched, 1)
-        p_idx = np.repeat(np.arange(m), counts)
+        p_idx = np.repeat(act, counts)
         k_idx = np.arange(len(p_idx)) - np.repeat(np.cumsum(counts) - counts, counts)
         base = floored(m, blocks, single, grid[-1])
         vals = floored(len(p_idx), [(r[p_idx], rest_b[p_idx], w) for r, rest_b, w in blocks],
@@ -440,10 +453,15 @@ def sharpness_experiment(t: BalancedType, p: float, cfg: QuadConfig,
     def fill(pts: np.ndarray, out: np.ndarray) -> None:
         out = out.reshape(len(eps_grid), width, len(pts))
         parts = [k(pts) for k in kernels]
-        for j, (base, k_idx, p_idx, vals) in enumerate(parts):
-            _fill_rows(out[:, 1 + j, :], base, k_idx, p_idx, vals)
-        # the product of the member rows, taken in member order
-        np.multiply.reduce(out[:, 1:, :], axis=1, out=out[:, 0, :])
+        # the product of the member rows, taken in member order: the first
+        # member's rows are written into it, and each later member's rows
+        # are multiplied in, its base row everywhere but at its pairs
+        prod = out[:, 0, :]
+        _fill_rows(prod, *parts[0])
+        for base, k_idx, p_idx, vals in parts[1:]:
+            at = prod[k_idx, p_idx]
+            prod *= base
+            prod[k_idx, p_idx] = at * vals
         # p-th powers: one of each base, broadcast, and one of the pairs
         for j, (base, k_idx, p_idx, vals) in enumerate(parts):
             _fill_rows(out[:, 1 + j, :], base ** p, k_idx, p_idx, vals ** p)

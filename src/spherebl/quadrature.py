@@ -250,7 +250,9 @@ def _run_shard(points: Iterable[np.ndarray], fill, num_series: int, chunk: int):
             # a NaN or infinity anywhere in a row makes that row's sum non-finite
             if not np.isfinite(sums).all():
                 raise NonFiniteSampleError(
-                    "integrand returned a non-finite value; truncate the singularity")
+                    "integrand returned a non-finite value, or a negative value where its "
+                    "logarithm is taken (the Holder check); truncate the singularity or "
+                    "keep the function positive")
             vals -= (sums / m)[:, None]
             vals *= vals
             acc = _merge(acc, (m, sums, vals.sum(axis=1)))

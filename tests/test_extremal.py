@@ -309,10 +309,68 @@ def _reference_extremal(s, gamma, eps, pts):
     return prod + sums
 
 
+def _acting_pairs(s, grid, pts):
+    """Every (k, i) with k < len(grid) - 1 where some base of point i lies
+    below floor k (|x| and block radii against eps, 1 - |x|^2 against
+    eps^2), in point-major order."""
+    bases, bases2 = [], []
+    for a in s.alphas[1:]:
+        r2 = (pts[:, [i - 1 for i in a.support()]] ** 2).sum(axis=1)
+        bases.append(np.sqrt(r2))
+        bases2.append(1.0 - r2)
+    for j in s.r_mask.support():
+        x = pts[:, j - 1]
+        bases.append(np.abs(x))
+        bases2.append(1.0 - x * x)
+    return [(k, i) for i in range(len(pts)) for k, eps in enumerate(grid[:-1])
+            if any(b[i] < eps for b in bases) or any(b[i] < eps * eps for b in bases2)]
+
+
+#: four squares summing to 4^e - 1, so that 1 - |x|^2 of a block is 4^-e
+_FOUR_SQUARES = {3: (7, 3, 2, 1), 10: (1023, 43, 14, 1)}
+
+
+def _rows_on_a_floor(s, e):
+    """Points (off the sphere) each with a base exactly on the floor 2^-e
+    and every other base above it: every |x_j|, one tail block radius, or
+    1 - |x|^2 of one tail block against 4^-e."""
+    rows = [np.full(s.n, 2.0 ** -e)]
+    for a in s.alphas[1:]:
+        cols = [i - 1 for i in a.support()]
+        rows.append(np.full(s.n, 0.3))
+        rows[-1][cols] = 0.0
+        rows[-1][cols[0]] = 2.0 ** -e
+        if len(cols) >= 4:
+            rows.append(np.full(s.n, 0.3))
+            rows[-1][cols] = 0.0
+            rows[-1][cols[:4]] = [c * 2.0 ** -e for c in _FOUR_SQUARES[e]]
+    return np.array(rows)
+
+
 # every shard is one chunk of every pass below, so sums are taken over the
 # same points in the same order whatever the number of series
 FUSED_CFG = QuadConfig(samples=40_000, seed=61, shards=4)
 FUSED_GRID = [2.0 ** -k for k in range(3, 21)]
+
+
+def _assert_sharpness_series_equal_per_eps_passes(t, p, gamma, cfg):
+    """The fused sharpness run equals one pass per floor bit for bit, each
+    taking the product of the member values in member order."""
+    rep = sharpness_experiment(t, p=p, cfg=cfg, eps_grid=FUSED_GRID, gamma=gamma)
+    fams = enumerate_symmetries(t)
+    for k, eps in enumerate(FUSED_GRID):
+        fs = [extremal_function(s, ExtremalParams(gamma=gamma, trunc=eps)) for s in fams]
+
+        def fill(pts, out, fs=fs):
+            vals = [f.eval(pts) for f in fs]
+            prod = vals[0]
+            for v in vals[1:]:
+                prod = prod * v
+            out[...] = np.stack([prod] + [v ** p for v in vals])
+
+        ests = mc_sphere_estimates(t.n, cfg, fill, 1 + len(fams))
+        assert rep.lhs[k] == ests[0], eps
+        assert rep.rhs_norms[k] == tuple(_power_transform(e, p) for e in ests[1:]), eps
 
 
 class TestFusedGrids:
@@ -343,6 +401,37 @@ class TestFusedGrids:
                     assert np.array_equal(rows[k], _reference_extremal(s, 0.3, eps, pts)), \
                         (edges, eps)
 
+    @pytest.mark.parametrize("member", ["3;2", "4;2,2", "4;3", "5;3,2", "tail-9"])
+    def test_pairs_are_the_acting_floors(self, member):
+        if member == "tail-9":
+            blocks = [range(1, 10), range(10, 19)]
+            members = [decompose(EdgeSet.of(20, [(i, j) for b in blocks
+                                                 for i in b for j in b if i < j]))]
+            assert max(a.weight for a in members[0].alphas[1:]) == 9
+        else:
+            n, lengths = member.split(";")
+            members = enumerate_symmetries(BalancedType(int(n), tuple(
+                int(a) for a in lengths.split(","))))
+        n = members[0].n
+        sampled = next(iter(sample_sphere(n, QuadConfig(samples=400, seed=7, shards=1))))
+        for s in members:
+            edge = _rows_on_a_floor(s, 3)
+            pts = np.concatenate([edge, _rows_on_a_floor(s, 10), sampled])
+            kernel = _extremal_kernel(s, 0.3, FUSED_GRID)
+            _, k_idx, p_idx, _ = kernel(pts)
+            pairs = _acting_pairs(s, FUSED_GRID, pts)
+            assert list(zip(k_idx.tolist(), p_idx.tolist())) == pairs
+            assert len(pairs) > 0 and pairs[0][1] >= len(edge)
+            # no floor acts on a base that equals it: a chunk of such points
+            # has no pair, and every row is the base row
+            base, k_idx, p_idx, vals = kernel(edge)
+            assert len(k_idx) == len(p_idx) == len(vals) == 0
+            rows = np.empty((len(FUSED_GRID), len(edge)))
+            _fill_rows(rows, base, k_idx, p_idx, vals)
+            assert np.array_equal(rows, np.broadcast_to(base, rows.shape))
+            for eps in (FUSED_GRID[0], FUSED_GRID[-1]):
+                assert np.array_equal(base, _reference_extremal(s, 0.3, eps, edge))
+
     def test_power_does_not_depend_on_position(self):
         # the fused runs raise the base row and the pairs to a power apart
         # and scatter them; that equals the power of the whole row only if
@@ -366,20 +455,14 @@ class TestFusedGrids:
             assert np.array_equal(view[1], full[5:]), e
 
     def test_sharpness_series_equal_per_eps_passes(self):
-        t = BalancedType(3, (2,))
-        rep = sharpness_experiment(t, p=1.8, cfg=FUSED_CFG, eps_grid=FUSED_GRID,
-                                   gamma=0.5)
-        fams = enumerate_symmetries(t)
-        for k, eps in enumerate(FUSED_GRID):
-            fs = [extremal_function(s, ExtremalParams(gamma=0.5, trunc=eps)) for s in fams]
+        _assert_sharpness_series_equal_per_eps_passes(BalancedType(3, (2,)), 1.8, 0.5,
+                                                      FUSED_CFG)
 
-            def fill(pts, out, fs=fs):
-                vals = [f.eval(pts) for f in fs]
-                out[...] = np.stack([vals[0] * vals[1] * vals[2]] + [v ** 1.8 for v in vals])
-
-            ests = mc_sphere_estimates(3, FUSED_CFG, fill, 4)
-            assert rep.lhs[k] == ests[0]
-            assert rep.rhs_norms[k] == tuple(_power_transform(e, 1.8) for e in ests[1:])
+    @pytest.mark.parametrize("t", [BalancedType(4, (2, 2)), BalancedType(4, (3,))])
+    def test_sharpness_series_equal_per_eps_passes_at_n4(self, t):
+        gamma = float(critical_gamma(t))
+        _assert_sharpness_series_equal_per_eps_passes(
+            t, 0.9 / gamma, gamma, QuadConfig(samples=20_000, seed=62, shards=4))
 
     def test_norm_scan_series_equal_per_eps_passes(self):
         s = decompose(EdgeSet.of(3, [(1, 2)]))

@@ -375,7 +375,7 @@ class TestHolder:
         fams = enumerate_symmetries(BalancedType(3, (2,)))
         fs = [constant_integrand(3, 1.0, tag=s) for s in fams]
         fs[1] = Integrand(3, lambda pts: 0.5 - pts[:, 0] ** 2, symmetry_tag=fams[1])
-        with pytest.raises(NonFiniteSampleError):
+        with pytest.raises(NonFiniteSampleError, match="negative"):
             holder_verify(fams, fs, [2.0] * 3, CFG)
 
     @pytest.mark.parametrize("t", [BalancedType(3, (2,)), BalancedType(4, (2, 2))])
