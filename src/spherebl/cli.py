@@ -400,7 +400,7 @@ def _run_verify_holder(type=None, families=None, p=None, ps=None, count=1,
 def _run_verify_sharpness(type, p, gamma=None, eps_grid=_EPS_GRID, cap=DEFAULT_CAP,
                           quad=QuadConfig()):
     if gamma is not None:
-        _at("gamma", ExtremalParams, gamma, eps_grid[-1])  # raises unless gamma > 0
+        _at("gamma", extremal._positive, "gamma", gamma)
     _at("p", extremal._sharpness_gamma, type, p, gamma)  # raises unless gamma * p < 1
     try:
         report = sharpness_experiment(type, p, quad, eps_grid=eps_grid, gamma=gamma, cap=cap)

@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 
 from .errors import CapExceededError
 from .exponents import BalancedType, j_max
-from .symmetry import MultiIndex, Symmetry
+from .symmetry import MultiIndex, Symmetry, _canonical_order
 
 DEFAULT_CAP = 10**6
 
@@ -65,6 +65,6 @@ def canonical_classes(fams: Sequence[Symmetry]) -> list[list[Symmetry]]:
     """
     groups: dict = {}
     for s in fams:
-        key = tuple(a.mask for a in s.canonical().alphas)
+        key = tuple(a.mask for a in _canonical_order(s.alphas))
         groups.setdefault(key, []).append(s)
     return [groups[k] for k in sorted(groups)]

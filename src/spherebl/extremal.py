@@ -334,7 +334,7 @@ def norm_boundary_scan(s: Symmetry, gamma: float, p: float,
     """
     eps_grid = _grid(eps_grid, 3, descending=True)
     _positive("p", p)
-    ExtremalParams(gamma, eps_grid[-1])  # raises unless gamma > 0
+    _positive("gamma", gamma)
     kernel = _extremal_kernel(s, gamma, eps_grid)
 
     def fill(pts: np.ndarray, out: np.ndarray) -> None:
@@ -409,9 +409,11 @@ def _increment_decay(eps_grid, values, samples, n):
 
 def _sharpness_gamma(t: BalancedType, p: float, gamma: float | None) -> float:
     """The strength of a sharpness run, ``gamma`` or by default 1/p_sharp of
-    ``t``; the one check that gamma * p < 1, which keeps every norm finite."""
-    g = float(gamma) if gamma is not None else 1.0 / balanced_exponent(t)
-    if g * p >= 1.0 + 1e-12:
+    ``t``, which must be positive; the one check that gamma * p < 1, which
+    keeps every norm finite.  A product within 1e-12 of 1 counts as 1, as in
+    :func:`norm_boundary_scan`."""
+    g = _positive("gamma", float(gamma) if gamma is not None else 1.0 / balanced_exponent(t))
+    if g * p >= 1.0 - 1e-12:
         raise ValueError(f"gamma * p = {g * p} >= 1 makes every norm infinite")
     return g
 
@@ -444,7 +446,6 @@ def sharpness_experiment(t: BalancedType, p: float, cfg: QuadConfig,
     eps_grid = _grid(default_eps_grid() if eps_grid is None else eps_grid, 3,
                      descending=True)
     g = _sharpness_gamma(t, _positive("p", p), gamma)
-    ExtremalParams(g, eps_grid[-1])  # raises unless g > 0
 
     fams = enumerate_symmetries(t, cap=cap)
     kernels = [_extremal_kernel(s, g, eps_grid) for s in fams]

@@ -78,12 +78,9 @@ def random_block_invariants(fams: Sequence[Symmetry], seeds: Sequence[int],
         m = len(pts)
         u = np.empty((len(cols) + 1, m))
         for row, c in zip(u, cols):
-            if len(c) == 1:
-                np.square(pts[:, c[0]], out=row)
-            else:
-                x = pts[:, c]
-                x *= x
-                x.sum(axis=1, out=row)
+            x = pts[:, c]
+            x *= x
+            x.sum(axis=1, out=row)
         u[-1] = 0.0
         group = max(1, _SCRATCH_FLOATS // max(1, m))
         scratch = np.empty((min(group, len(out)), m))

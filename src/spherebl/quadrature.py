@@ -1,12 +1,14 @@
 """Seeded Monte Carlo integration on spheres and balls.
 
-Points on the sphere are normalized standard Gaussian vectors, which are
-exactly uniform in every dimension.  Points in a ball are such a direction
-times radius * U^(1/dim), with the radii U drawn from a sibling stream so
-that the points do not depend on how a shard is cut into chunks.  Work is
-split into shards; shard k draws from its own counter-based stream (numpy
-Philox keyed by (seed, k), and (seed, k, 1) for ball radii), and partial
-results are combined in shard order, so a result is a pure function of
+One function, :func:`_shard_streams`, draws every point that an estimator,
+:func:`sample_sphere` or an experiment sees.  Points on the sphere are
+normalized standard Gaussian vectors, which are exactly uniform in every
+dimension.  Points in a ball are such a direction times radius * U^(1/dim),
+with the radii U drawn from a sibling stream so that the points do not
+depend on how a shard is cut into chunks.  Work is split into shards;
+shard k draws from its own counter-based stream (numpy Philox keyed by
+(seed, k), and (seed, k, 1) for ball radii), and partial results are
+combined in shard order, so a result is a pure function of
 (seed, samples, shards) regardless of how many worker threads ran the
 shards.  The reproducibility contract is exactly that triple together with
 the generator name in :data:`RNG_ALGORITHM`; bit equality across different
@@ -185,43 +187,38 @@ def _sphere_chunk(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     return g / norms[:, None]
 
 
-def _ball_chunk(rng: np.random.Generator, urng: np.random.Generator, m: int,
-                dim: int, radius: float) -> np.ndarray:
-    # uniform in the ball: uniform direction times radius * U^(1/dim); the
-    # directions and the radii come from separate streams, so the points do
-    # not depend on the chunk size
-    g = rng.standard_normal((m, dim))
-    norms = np.sqrt((g * g).sum(axis=1))
-    u = urng.random(m)
-    scale = radius * u ** (1.0 / dim) / norms
-    return g * scale[:, None]
+def _shard_streams(cfg: QuadConfig, dim: int, chunk: int,
+                   radius: float | None = None) -> Iterator[Iterator[np.ndarray]]:
+    """The point chunks of every shard holding samples, in shard order: the
+    one function that draws points.
 
-
-def _sphere_sampler(seed: int, n: int):
-    def make_sampler(shard: int):
-        rng = _shard_rng(seed, shard)
-        return lambda m: _sphere_chunk(rng, m, n)
-    return make_sampler
-
-
-def _shard_streams(cfg: QuadConfig, make_sampler, chunk: int) -> Iterator[Iterator[np.ndarray]]:
-    """The point chunks of every shard holding samples, in shard order.
-
-    ``make_sampler(shard)`` returns a closure drawing m points of that
-    shard's stream; each shard's chunks are drawn lazily, by whoever
-    iterates them.
+    Shard k draws from the stream keyed by (seed, k), ``chunk`` points at a
+    time: unit vectors in R^dim, or, given a ``radius``, points uniform in
+    that ball, each a uniform direction times radius * U^(1/dim) with the
+    radii U from the sibling stream (seed, k, 1), so the points do not
+    depend on the chunk size.  Each shard's chunks are drawn lazily, by
+    whoever iterates them.
     """
 
-    def chunks(sampler, count: int) -> Iterator[np.ndarray]:
-        left = count
-        while left > 0:
-            m = min(left, chunk)
-            yield sampler(m)
-            left -= m
+    def chunks(shard: int, count: int) -> Iterator[np.ndarray]:
+        rng = _shard_rng(cfg.seed, shard)
+        urng = None if radius is None else _shard_rng(cfg.seed, shard, 1)
+        for start in range(0, count, chunk):
+            m = min(chunk, count - start)
+            if urng is None:
+                yield _sphere_chunk(rng, m, dim)
+            else:
+                # scaled in place: locals of a generator outlive its yield,
+                # so a separate scale or result array would stay allocated
+                # while the chunk is evaluated
+                g = rng.standard_normal((m, dim))
+                g *= (radius * urng.random(m) ** (1.0 / dim)
+                      / np.sqrt((g * g).sum(axis=1)))[:, None]
+                yield g
 
     for shard, count in enumerate(_shard_counts(cfg.samples, cfg.shards)):
         if count:
-            yield chunks(make_sampler(shard), count)
+            yield chunks(shard, count)
 
 
 def _merge(a, b):
@@ -259,23 +256,27 @@ def _run_shard(points: Iterable[np.ndarray], fill, num_series: int, chunk: int):
     return acc
 
 
-def _mc_estimates(cfg: QuadConfig, dim: int, make_sampler, fill,
-                  num_series: int,
+def _mc_estimates(cfg: QuadConfig, dim: int, fill, num_series: int,
+                  radius: float | None = None,
                   scales: Sequence[float] | None = None) -> list[Estimate]:
-    """Shared engine: mean of each value series times its scale (1 when
-    ``scales`` is None).
+    """Shared engine: mean of each value series over the points of
+    :func:`_shard_streams` (on the sphere, or in the ball of ``radius``),
+    times its scale (1 when ``scales`` is None).
 
     Shard partials are reduced in index order for determinism; the value is
     the ordered sum over all samples divided by their count.
     """
     # no shard holds more than ceil(samples / shards) points
     chunk = min(_chunk_size(dim, num_series), -(-cfg.samples // cfg.shards))
-    streams = list(_shard_streams(cfg, make_sampler, chunk))
+    streams = list(_shard_streams(cfg, dim, chunk, radius))
 
     def job(points):
         return _run_shard(points, fill, num_series, chunk)
 
     workers = _worker_count(len(streams))
+    # one worker runs the shards in this thread, not in a one-thread pool:
+    # a pool thread gets its own malloc arena, which raised the one-worker
+    # peak RSS of the benchmark's local growth run from 49.9 to 51.0 MB
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(job, streams))
@@ -313,7 +314,7 @@ def mc_sphere_estimates(n: int, cfg: QuadConfig, fill,
     """
     if n < 2:
         raise ValueError("sphere sampling needs dimension >= 2")
-    return _mc_estimates(cfg, n, _sphere_sampler(cfg.seed, n), fill, num_series)
+    return _mc_estimates(cfg, n, fill, num_series)
 
 
 def ball_volume(dim: int, radius: float = 1.0) -> float:
@@ -336,14 +337,7 @@ def mc_ball_estimates(dim: int, radius: float, cfg: QuadConfig, fill,
         raise ValueError("ball sampling needs dimension >= 1")
     if volumes is None:
         volumes = [ball_volume(dim, radius)] * num_series
-
-    def make_sampler(shard: int):
-        rng = _shard_rng(cfg.seed, shard)
-        urng = _shard_rng(cfg.seed, shard, 1)
-        return lambda m: _ball_chunk(rng, urng, m, dim, radius)
-
-    return _mc_estimates(cfg, dim, make_sampler, fill, num_series,
-                         scales=volumes)
+    return _mc_estimates(cfg, dim, fill, num_series, radius, scales=volumes)
 
 
 def sample_sphere(n: int, cfg: QuadConfig) -> Iterator[np.ndarray]:
@@ -351,7 +345,7 @@ def sample_sphere(n: int, cfg: QuadConfig) -> Iterator[np.ndarray]:
     vectors, exactly the points the estimators consume."""
     if n < 2:
         raise ValueError("sphere sampling needs dimension >= 2")
-    for points in _shard_streams(cfg, _sphere_sampler(cfg.seed, n), _chunk_size(n, 1)):
+    for points in _shard_streams(cfg, n, _chunk_size(n, 1)):
         yield from points
 
 

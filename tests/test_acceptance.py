@@ -141,7 +141,7 @@ def _holder_records(run: int = 0):
 
 def test_criterion_5_holder_verification():
     start = time.perf_counter()
-    records = _holder_records()
+    records = _holder_records(0)
     ok = all(rec.passed for recs in records.values() for rec in recs)
     elapsed = time.perf_counter() - start
     verdict(5, ok and elapsed < 300.0,
@@ -168,7 +168,7 @@ def _sharpness_runs(run: int = 0):
 
 def test_criterion_6_sharpness_reproduction():
     start = time.perf_counter()
-    critical, control = _sharpness_runs()
+    critical, control = _sharpness_runs(0)
     ok = critical.rhs_converged and critical.rhs_rel_change < 0.05
     ok = ok and critical.slope > 3 * critical.slope_stderr
     ok = ok and critical.classification == "divergent-log" and critical.passed
@@ -200,7 +200,7 @@ def _norm_scans(run: int = 0):
 
 def test_criterion_7_norm_boundary_slopes():
     start = time.perf_counter()
-    conv, div = _norm_scans()
+    conv, div = _norm_scans(0)
     ok = abs(conv.slope - 0.0) <= 0.1 + 3 * conv.slope_stderr
     ok = ok and conv.classification == "converged"
     ok = ok and abs(div.slope - (-0.5)) <= 0.1 + 3 * div.slope_stderr
@@ -225,7 +225,7 @@ def _growth_run(run: int = 0):
 
 def test_criterion_8_local_growth():
     start = time.perf_counter()
-    rep = _growth_run()
+    rep = _growth_run(0)
     ok = rep.delta_target == Fraction(3, 2)
     ok = ok and 1.2 <= rep.fitted_slope <= 1.6
     elapsed = time.perf_counter() - start
@@ -236,6 +236,9 @@ def test_criterion_8_local_growth():
 
 
 # --- criterion 9: determinism ------------------------------------------------------
+#
+# Criteria 5-8 ask for run 0 by its number: ``cache`` keys f() and f(0)
+# apart, so run 0 is computed once and rerun here only as run 1.
 
 
 def test_criterion_9_determinism():

@@ -133,6 +133,12 @@ class TestVerifyHolder:
         assert res["all_pass"] is True
         assert len(res["records"]) == 3
 
+    def test_extremal_functions_pass(self, tmp_path, capsys):
+        path = self.scenario(tmp_path, functions={"kind": "extremal", "gamma": 0.25,
+                                                  "trunc": 0.01})
+        assert main(["verify-holder", path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["all_pass"] is True
+
     def test_csv_schema(self, tmp_path):
         path = self.scenario(tmp_path)
         out = tmp_path / "rows.csv"
@@ -241,6 +247,14 @@ class TestVerifyLocal:
         rep = record["results"]["report"]
         assert rep["delta_target"] == {"num": 3, "den": 2}
 
+    @pytest.mark.parametrize("window, code", [([0.0, 3.0], 0), ([2.0, 3.0], 2)])
+    def test_slope_window_decides(self, tmp_path, capsys, window, code):
+        # the fitted slope of this run is about 1.44
+        payload = {"type": {"n": 3, "lengths": [2]}, "slope_window": window,
+                   "quad": {"samples": 50_000, "seed": 17, "shards": 2}}
+        assert main(["verify-local", write(tmp_path, "s.json", payload), "--json"]) == code
+        rep = json.loads(capsys.readouterr().out)["results"]["report"]
+        assert (window[0] <= rep["fitted_slope"] <= window[1]) == (code == 0)
 
     def test_three_point_grid_is_input_error(self, tmp_path, capsys):
         payload = {"type": {"n": 3, "lengths": [2]}, "r_grid": [1.0, 2.0, 4.0],
@@ -487,6 +501,11 @@ class TestScenarioValues:
         ("verify-local", "eta", 0, "eta"),
         ("decompose", "edges", [[1, 2], [3, 5]], "edges[1]"),
         ("exponents", "families", [{"n": 4, "edges": [[0, 1]]}], "families[0].edges[0]"),
+        # gamma * p = 1 makes the norms infinite too (gamma = 1/p_sharp = 1/2)
+        ("verify-sharpness", "*", {"p": 2.0, "gamma": None}, "p"),
+        # a radius too large for the growth profile's powers
+        ("verify-local", "r_grid", {"kind": "dyadic", "min_exp": 0, "max_exp": 400},
+         "r_grid"),
     ])
     def test_bad_value_is_input_error(self, tmp_path, capsys, mode, key, value, path):
         payload = dict(self.BASE[mode])
@@ -504,6 +523,15 @@ class TestScenarioValues:
     def test_null_functions_select_the_default(self, tmp_path, capsys):
         payload = dict(self.BASE["verify-holder"], functions=None)
         assert main(["verify-holder", write(tmp_path, "s.json", payload)]) == 0
+
+    @pytest.mark.parametrize("mode, key", [("verify-sharpness", "eps_grid"),
+                                           ("verify-local", "r_grid")])
+    def test_null_grid_selects_the_default(self, tmp_path, capsys, mode, key):
+        runs = []
+        for payload in (self.BASE[mode], dict(self.BASE[mode], **{key: None})):
+            code = main([mode, write(tmp_path, "s.json", payload), "--json"])
+            runs.append((code, json.loads(capsys.readouterr().out)["results"]))
+        assert runs[0] == runs[1]
 
     def test_non_object_scenario_is_input_error(self, tmp_path, capsys):
         assert main(["identities", write(tmp_path, "s.json", [1, 2])]) == 1

@@ -192,9 +192,11 @@ class TestSharpness:
         assert not rep.passed
 
     def test_infinite_norms_rejected(self):
-        with pytest.raises(ValueError):
-            sharpness_experiment(BalancedType(3, (2,)), p=2.5,
-                                 cfg=CFG, gamma=0.5)
+        # gamma * p = 1 is rejected too: with the default gamma = 1/2, and
+        # where (1/49) * 49 rounds to just below 1
+        for p, gamma in [(2.5, 0.5), (2.0, None), (49.0, 1 / 49)]:
+            with pytest.raises(ValueError, match="makes every norm infinite"):
+                sharpness_experiment(BalancedType(3, (2,)), p=p, cfg=CFG, gamma=gamma)
 
     def test_nonpositive_p_rejected(self):
         with pytest.raises(ValueError, match="p must be positive"):
