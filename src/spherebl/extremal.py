@@ -29,7 +29,12 @@ and the pairs to their power before they scatter them.  The kernel looks
 for pairs only at the active points, where some base lies below the
 largest floor (13% of the points of S^2 under the default floors, 2^-3
 down): one cheap pass over all points finds them, and the floor search
-and the pair bookkeeping run on them alone.  Every grid point of an
+and the pair bookkeeping run on them alone.  The experiments write their
+grid rows at the active points of any member only (a third of the points
+for the three members of type (3; 2)).  At every other point each level
+holds the base value, so the experiments reduce those points once, from
+the base rows, and the estimator merges that partial into the sums of
+every level.  Every grid point of an
 experiment is a value series of one estimator pass over one seeded
 sample stream (common random numbers), so grid series are exactly
 monotone where the integrand is, and a truncated norm that has converged
@@ -74,6 +79,7 @@ from .quadrature import (
     mc_ball_estimates,
     mc_sphere_estimates,
     _power_transform,
+    _reduce,
 )
 from .symmetry import Symmetry
 
@@ -129,10 +135,12 @@ def _extremal_kernel(s: Symmetry, gamma: float, eps_grid: Sequence[float]):
     non-increasing ``eps_grid``, as a base row plus the pairs that differ.
 
     The returned function maps (m, n) points to ``(base, k_idx, p_idx,
-    vals)``: ``base[i]`` is the value at point i under the smallest floor
-    ``eps_grid[-1]``, and the value under ``eps_grid[k]`` is ``vals[q]``
-    where ``(k_idx[q], p_idx[q]) == (k, i)``, else ``base[i]``;
-    :func:`_fill_rows` writes these (len(eps_grid), m) rows.
+    vals, act)``: ``base[i]`` is the value at point i under the smallest
+    floor ``eps_grid[-1]``, and the value under ``eps_grid[k]`` is
+    ``vals[q]`` where ``(k_idx[q], p_idx[q]) == (k, i)``, else ``base[i]``.
+    ``act`` holds the active points in ascending order; every pair lies at
+    one of them.  The result is returned, never kept on the kernel, which
+    pool threads share.
 
     A floor eps changes a base b (|x| or a block radius against eps,
     1 - |x|^2 against eps^2) only where b < eps, and then it changes it
@@ -202,17 +210,30 @@ def _extremal_kernel(s: Symmetry, gamma: float, eps_grid: Sequence[float]):
         vals = floored(len(p_idx), [(r[p_idx], rest_b[p_idx], w) for r, rest_b, w in blocks],
                        None if single is None else (single[0][p_idx], single[1][p_idx]),
                        grid[k_idx])
-        return base, k_idx, p_idx, vals
+        return base, k_idx, p_idx, vals, act
 
     return ev
 
 
-def _fill_rows(rows: np.ndarray, base: np.ndarray, k_idx: np.ndarray,
-               p_idx: np.ndarray, vals: np.ndarray) -> None:
-    """Write the (len(eps_grid), m) rows of one :func:`_extremal_kernel`
-    result (or of a pointwise function of it) into ``rows``."""
-    rows[...] = base
-    rows[k_idx, p_idx] = vals
+def _split(rows: np.ndarray, parts, levels: int):
+    """Split the points of one chunk for a grid experiment's fill.
+
+    ``parts`` are :func:`_extremal_kernel` results at the chunk's points,
+    and ``rows`` holds one base row per series of a grid level.  Returns a
+    mask of the points where some part is active; the column of each such
+    point among them, in point order (meaningless elsewhere); and the
+    (count, sums, M2) of ``rows`` at the other points, where no floor acts,
+    repeated for each of the ``levels`` grid levels, as the engine takes
+    it from a fill (see :func:`spherebl.quadrature.mc_sphere_estimates`).
+    """
+    active = np.zeros(rows.shape[1], dtype=bool)
+    for part in parts:
+        active[part[4]] = True
+    col = np.empty(len(active), dtype=np.intp)
+    cols = np.flatnonzero(active)
+    col[cols] = np.arange(len(cols))
+    count, sums, m2 = _reduce(np.compress(~active, rows, axis=1))
+    return active, col, (count, np.tile(sums, levels), np.tile(m2, levels))
 
 
 def extremal_function(s: Symmetry, params: ExtremalParams) -> Integrand:
@@ -337,9 +358,16 @@ def norm_boundary_scan(s: Symmetry, gamma: float, p: float,
     _positive("gamma", gamma)
     kernel = _extremal_kernel(s, gamma, eps_grid)
 
-    def fill(pts: np.ndarray, out: np.ndarray) -> None:
-        base, k_idx, p_idx, vals = kernel(pts)
-        _fill_rows(out, base ** p, k_idx, p_idx, vals ** p)
+    def fill(pts: np.ndarray, out: np.ndarray):
+        part = kernel(pts)
+        base, k_idx, p_idx, vals, _ = part
+        powers = (base ** p)[None]
+        active, col, rest = _split(powers, [part], len(eps_grid))
+        # every level's row at the active points: the base power, then the pairs'
+        lead = out[:, :len(pts) - rest[0]]
+        lead[...] = np.compress(active, powers, axis=1)
+        lead[k_idx, col[p_idx]] = vals ** p
+        return rest
 
     raw = mc_sphere_estimates(s.n, cfg, fill, len(eps_grid))
 
@@ -451,21 +479,35 @@ def sharpness_experiment(t: BalancedType, p: float, cfg: QuadConfig,
     kernels = [_extremal_kernel(s, g, eps_grid) for s in fams]
     width = 1 + len(fams)
 
-    def fill(pts: np.ndarray, out: np.ndarray) -> None:
-        out = out.reshape(len(eps_grid), width, len(pts))
+    def fill(pts: np.ndarray, out: np.ndarray):
+        m = len(pts)
         parts = [k(pts) for k in kernels]
-        # the product of the member rows, taken in member order: the first
+        # the base rows: the product of the member bases, in member order,
+        # and the p-th power of each
+        bases = np.empty((width, m))
+        bases[0] = parts[0][0]
+        for part in parts[1:]:
+            bases[0] *= part[0]
+        for j, part in enumerate(parts):
+            np.power(part[0], p, out=bases[1 + j])
+        active, col, rest = _split(bases, parts, len(eps_grid))
+        lead = out.reshape(len(eps_grid), width, m)[:, :, :m - rest[0]]
+        # the product at the active points, taken in member order: the first
         # member's rows are written into it, and each later member's rows
         # are multiplied in, its base row everywhere but at its pairs
-        prod = out[:, 0, :]
-        _fill_rows(prod, *parts[0])
-        for base, k_idx, p_idx, vals in parts[1:]:
-            at = prod[k_idx, p_idx]
-            prod *= base
-            prod[k_idx, p_idx] = at * vals
-        # p-th powers: one of each base, broadcast, and one of the pairs
-        for j, (base, k_idx, p_idx, vals) in enumerate(parts):
-            _fill_rows(out[:, 1 + j, :], base ** p, k_idx, p_idx, vals ** p)
+        prod = lead[:, 0, :]
+        base, k_idx, p_idx, vals, _ = parts[0]
+        prod[...] = np.compress(active, base)
+        prod[k_idx, col[p_idx]] = vals
+        for base, k_idx, p_idx, vals, _ in parts[1:]:
+            at = prod[k_idx, col[p_idx]]
+            prod *= np.compress(active, base)
+            prod[k_idx, col[p_idx]] = at * vals
+        # p-th powers: the base powers, broadcast, and one of the pairs
+        lead[:, 1:, :] = np.compress(active, bases[1:], axis=1)
+        for j, (_, k_idx, p_idx, vals, _) in enumerate(parts):
+            lead[k_idx, 1 + j, col[p_idx]] = vals ** p
+        return rest
 
     ests = mc_sphere_estimates(t.n, cfg, fill, len(eps_grid) * width)
     lhs = [ests[k * width] for k in range(len(eps_grid))]

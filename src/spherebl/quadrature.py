@@ -19,7 +19,10 @@ stream of points; the experiments put every grid point and repetition into
 a single pass this way.  A pass takes one callback, ``fill(points, out)``:
 each shard job owns one (series, chunk) block of values, and for every
 chunk of m points it hands ``fill`` a C-contiguous (series, m) view of that
-block to overwrite, then reduces the block in place.  The chunk a pass
+block to overwrite, then reduces the block in place.  A fill may instead
+reduce some of the points itself, write the others into the leading
+columns and return its partial, which the engine merges in (see
+:func:`mc_sphere_estimates`).  The chunk a pass
 evaluates at a time shrinks with the number of series
 (:data:`_CHUNK_BUDGET`), so the last bit of a sum can depend on the series
 count, never the points themselves.
@@ -223,36 +226,53 @@ def _shard_streams(cfg: QuadConfig, dim: int, chunk: int,
 
 def _merge(a, b):
     """Combine the (count, sums, M2) of two sample blocks, M2 being the sums
-    of squared deviations from the block means (Chan, Golub & LeVeque)."""
+    of squared deviations from the block means (Chan, Golub & LeVeque).
+    An empty block leaves the other unchanged."""
     na, sa, qa = a
     nb, sb, qb = b
     if na == 0:
         return b
+    if nb == 0:
+        return a
     n = na + nb
     delta = sb / nb - sa / na
     return n, sa + sb, qa + qb + delta * delta * (na * nb / n)
 
 
+def _reduce(vals: np.ndarray):
+    """The (count, sums, M2) of the columns of the (series, count) block
+    ``vals``, which it overwrites with the squared deviations; (0, 0, 0)
+    per series for no column.  Raises :class:`NonFiniteSampleError` when a
+    value is not finite.  Callers silence numpy's warnings."""
+    m = vals.shape[1]
+    sums = vals.sum(axis=1)
+    # a NaN or infinity anywhere in a row makes that row's sum non-finite
+    if not np.isfinite(sums).all():
+        raise NonFiniteSampleError(
+            "integrand returned a non-finite value, or a negative value where its "
+            "logarithm is taken (the Holder check); truncate the singularity or "
+            "keep the function positive")
+    vals -= (sums / m)[:, None]
+    vals *= vals
+    return m, sums, vals.sum(axis=1)
+
+
 def _run_shard(points: Iterable[np.ndarray], fill, num_series: int, chunk: int):
     block = np.empty(num_series * chunk)
     acc = (0, np.zeros(num_series), np.zeros(num_series))
-    # the row-sum check below reports non-finite values, so numpy's warnings
-    # are silenced; inside the job, since pool threads do not inherit errstate
+    # _reduce reports non-finite values, so numpy's warnings are silenced;
+    # inside the job, since pool threads do not inherit errstate
     with np.errstate(all="ignore"):
         for pts in points:
             m = len(pts)
             vals = block[:num_series * m].reshape(num_series, m)
-            fill(pts, vals)
-            sums = vals.sum(axis=1)
-            # a NaN or infinity anywhere in a row makes that row's sum non-finite
-            if not np.isfinite(sums).all():
-                raise NonFiniteSampleError(
-                    "integrand returned a non-finite value, or a negative value where its "
-                    "logarithm is taken (the Holder check); truncate the singularity or "
-                    "keep the function positive")
-            vals -= (sums / m)[:, None]
-            vals *= vals
-            acc = _merge(acc, (m, sums, vals.sum(axis=1)))
+            rest = fill(pts, vals)
+            # a fill that reduced some points itself wrote the others into
+            # the leading columns
+            lead = m if rest is None else m - rest[0]
+            acc = _merge(acc, _reduce(vals[:, :lead]))
+            if rest is not None:
+                acc = _merge(acc, rest)
     return acc
 
 
@@ -308,9 +328,14 @@ def mc_sphere_estimates(n: int, cfg: QuadConfig, fill,
 
     ``fill(points, out)`` gets an (m, n) array of unit vectors and a
     C-contiguous (num_series, m) view of a block the engine reuses for every
-    chunk, and must write every entry of ``out``, series i into row i.  All
-    series see the same points, which is what the paired grid experiments
-    rely on.
+    chunk, and writes series i into row i.  Either it writes every entry of
+    ``out`` and returns None, or it reduces some of the points itself: it
+    returns their (count, sums, M2) as :func:`_reduce` gives them, one sum
+    and one M2 per series, and writes the other m - count points, in any
+    order, into the leading columns ``out[:, :m - count]``.  The grid
+    experiments reduce this way the points where no floor acts, whose
+    values are the same at every grid point.  All series see the same
+    points, which is what the paired grid experiments rely on.
     """
     if n < 2:
         raise ValueError("sphere sampling needs dimension >= 2")
@@ -318,7 +343,15 @@ def mc_sphere_estimates(n: int, cfg: QuadConfig, fill,
 
 
 def ball_volume(dim: int, radius: float = 1.0) -> float:
-    return math.pi ** (dim / 2) / math.gamma(dim / 2 + 1) * radius**dim
+    """Lebesgue volume of the ball of ``radius`` in R^dim; raises ValueError
+    when it exceeds the float range."""
+    try:
+        volume = math.pi ** (dim / 2) / math.gamma(dim / 2 + 1) * radius**dim
+    except OverflowError:
+        volume = math.inf
+    if volume == math.inf:
+        raise ValueError(f"the ball volume at radius {radius} exceeds the float range")
+    return volume
 
 
 def mc_ball_estimates(dim: int, radius: float, cfg: QuadConfig, fill,
@@ -326,7 +359,7 @@ def mc_ball_estimates(dim: int, radius: float, cfg: QuadConfig, fill,
                       volumes: Sequence[float] | None = None) -> list[Estimate]:
     """Like :func:`mc_sphere_estimates` but uniform over the ball of the
     given radius, scaled by its volume (so the estimate targets the plain
-    Lebesgue integral).  ``fill`` must likewise write every entry of ``out``.
+    Lebesgue integral).  ``fill`` follows the same protocol.
 
     ``volumes`` gives each series its own volume factor instead: a fill
     that evaluates series i at R_i times the points of the unit ball, with

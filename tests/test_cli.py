@@ -30,6 +30,10 @@ def write(tmp_path, name, payload):
     return str(path)
 
 
+#: a radius grid whose ball volumes exceed the float range
+HUGE_R_GRID = {"kind": "dyadic", "min_exp": 0, "max_exp": 400}
+
+
 class TestDecompose:
     def test_happy_path(self, tmp_path, capsys):
         path = write(tmp_path, "s.json", {"n": 4, "edges": [[1, 2], [3, 4]]})
@@ -504,8 +508,7 @@ class TestScenarioValues:
         # gamma * p = 1 makes the norms infinite too (gamma = 1/p_sharp = 1/2)
         ("verify-sharpness", "*", {"p": 2.0, "gamma": None}, "p"),
         # a radius too large for the growth profile's powers
-        ("verify-local", "r_grid", {"kind": "dyadic", "min_exp": 0, "max_exp": 400},
-         "r_grid"),
+        ("verify-local", "r_grid", HUGE_R_GRID, "r_grid"),
     ])
     def test_bad_value_is_input_error(self, tmp_path, capsys, mode, key, value, path):
         payload = dict(self.BASE[mode])
@@ -518,7 +521,11 @@ class TestScenarioValues:
                 payload.pop(alternative, None)
             payload[key] = value
         assert main([mode, write(tmp_path, "s.json", payload)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        if value == HUGE_R_GRID:  # the least radius whose 3-ball volume is inf
+            assert err == (f"error: r_grid: the ball volume at radius {2.0 ** 341} "
+                           "exceeds the float range\n")
 
     def test_null_functions_select_the_default(self, tmp_path, capsys):
         payload = dict(self.BASE["verify-holder"], functions=None)

@@ -33,8 +33,9 @@ from spherebl import (
     truncated_norm_slope_prediction,
 )
 from spherebl.cli import _encode
-from spherebl.extremal import _extremal_kernel, _fill_rows
-from spherebl.quadrature import _power_transform
+from spherebl.errors import NonFiniteSampleError
+from spherebl.extremal import _extremal_kernel
+from spherebl.quadrature import _power_transform, _reduce
 from oracles import truncated_extremal_norm_p
 
 CFG = QuadConfig(samples=200_000, seed=314, shards=4)
@@ -311,10 +312,9 @@ def _reference_extremal(s, gamma, eps, pts):
     return prod + sums
 
 
-def _acting_pairs(s, grid, pts):
-    """Every (k, i) with k < len(grid) - 1 where some base of point i lies
-    below floor k (|x| and block radii against eps, 1 - |x|^2 against
-    eps^2), in point-major order."""
+def _bases(s, pts):
+    """The singular bases of ``s`` at ``pts``: |x| and the tail block radii,
+    and 1 - |x|^2 of each of them."""
     bases, bases2 = [], []
     for a in s.alphas[1:]:
         r2 = (pts[:, [i - 1 for i in a.support()]] ** 2).sum(axis=1)
@@ -324,8 +324,36 @@ def _acting_pairs(s, grid, pts):
         x = pts[:, j - 1]
         bases.append(np.abs(x))
         bases2.append(1.0 - x * x)
+    return bases, bases2
+
+
+def _acting_pairs(s, grid, pts):
+    """Every (k, i) with k < len(grid) - 1 where some base of point i lies
+    below floor k (|x| and block radii against eps, 1 - |x|^2 against
+    eps^2), in point-major order."""
+    bases, bases2 = _bases(s, pts)
     return [(k, i) for i in range(len(pts)) for k, eps in enumerate(grid[:-1])
             if any(b[i] < eps for b in bases) or any(b[i] < eps * eps for b in bases2)]
+
+
+def _active_points(members, eps, pts):
+    """Mask of the points where some base of some member lies below the
+    floor ``eps``."""
+    mask = np.zeros(len(pts), dtype=bool)
+    for s in members:
+        bases, bases2 = _bases(s, pts)
+        for b in bases:
+            mask |= b < eps
+        for b in bases2:
+            mask |= b < eps * eps
+    return mask
+
+
+def _fill_rows(rows, base, k_idx, p_idx, vals):
+    """Write the (len(eps_grid), m) rows of one :func:`_extremal_kernel`
+    result into ``rows``."""
+    rows[...] = base
+    rows[k_idx, p_idx] = vals
 
 
 #: four squares summing to 4^e - 1, so that 1 - |x|^2 of a block is 4^-e
@@ -355,24 +383,80 @@ FUSED_CFG = QuadConfig(samples=40_000, seed=61, shards=4)
 FUSED_GRID = [2.0 ** -k for k in range(3, 21)]
 
 
-def _assert_sharpness_series_equal_per_eps_passes(t, p, gamma, cfg):
-    """The fused sharpness run equals one pass per floor bit for bit, each
-    taking the product of the member values in member order."""
-    rep = sharpness_experiment(t, p=p, cfg=cfg, eps_grid=FUSED_GRID, gamma=gamma)
+def _sharpness_rows(fs, p):
+    """The series of one sharpness pass at one floor: the product of the
+    member values, taken in member order, and each member's p-th power."""
+    def rows(pts):
+        vals = [f.eval(pts) for f in fs]
+        prod = vals[0]
+        for v in vals[1:]:
+            prod = prod * v
+        return np.stack([prod] + [v ** p for v in vals])
+    return rows
+
+
+def _per_eps_pass(n, cfg, rows, num_series, active=None):
+    """One estimator pass over the series ``rows(pts)`` of one floor.  Given
+    ``active(pts)``, a mask of points, the fill writes the values at those
+    points into the leading columns and reduces the others itself, as the
+    fused grid passes do; otherwise it writes every value."""
+    def fill(pts, out):
+        vals = rows(pts)
+        if active is None:
+            out[...] = vals
+            return None
+        mask = active(pts)
+        out[:, :mask.sum()] = vals[:, mask]
+        # row by row, as the fused passes: vals[:, ~mask] would be laid out
+        # column by column, and numpy would sum its rows in another order
+        return _reduce(np.compress(~mask, vals, axis=1))
+
+    return mc_sphere_estimates(n, cfg, fill, num_series)
+
+
+def _assert_close(fused, dense, value_tol, stderr_tol):
+    """Estimates that differ only in the last bits of their sums."""
+    for a, b in zip(fused, dense):
+        assert math.isfinite(a.value) and math.isfinite(a.stderr)
+        assert a.value == pytest.approx(b.value, rel=value_tol, abs=0.0)
+        assert a.stderr == pytest.approx(b.stderr, rel=stderr_tol, abs=0.0)
+
+
+def _assert_sharpness_series_equal_per_eps_passes(t, p, gamma, cfg, grid=FUSED_GRID,
+                                                  tol=(1e-13, 1e-12)):
+    """The fused sharpness run equals bit for bit one pass per floor that
+    reduces the same two sets of points apart (where the largest floor acts
+    on some member, and elsewhere), each taking the product of the member
+    values in member order; and it equals a plain pass per floor to the
+    last bits of its sums."""
+    rep = sharpness_experiment(t, p=p, cfg=cfg, eps_grid=grid, gamma=gamma)
     fams = enumerate_symmetries(t)
-    for k, eps in enumerate(FUSED_GRID):
+    for k, eps in enumerate(grid):
         fs = [extremal_function(s, ExtremalParams(gamma=gamma, trunc=eps)) for s in fams]
+        rows = _sharpness_rows(fs, p)
+        split = _per_eps_pass(t.n, cfg, rows, 1 + len(fams),
+                              lambda pts: _active_points(fams, grid[0], pts))
+        assert rep.lhs[k] == split[0], eps
+        assert rep.rhs_norms[k] == tuple(_power_transform(e, p) for e in split[1:]), eps
+        dense = _per_eps_pass(t.n, cfg, rows, 1 + len(fams))
+        _assert_close([rep.lhs[k], *rep.rhs_norms[k]],
+                      [dense[0], *(_power_transform(e, p) for e in dense[1:])], *tol)
 
-        def fill(pts, out, fs=fs):
-            vals = [f.eval(pts) for f in fs]
-            prod = vals[0]
-            for v in vals[1:]:
-                prod = prod * v
-            out[...] = np.stack([prod] + [v ** p for v in vals])
 
-        ests = mc_sphere_estimates(t.n, cfg, fill, 1 + len(fams))
-        assert rep.lhs[k] == ests[0], eps
-        assert rep.rhs_norms[k] == tuple(_power_transform(e, p) for e in ests[1:]), eps
+def _assert_norm_scan_series_equal_per_eps_passes(s, gamma, p, cfg, grid=FUSED_GRID,
+                                                  tol=(1e-13, 1e-12)):
+    """The fused scan against per-floor passes, as the sharpness run in
+    :func:`_assert_sharpness_series_equal_per_eps_passes`."""
+    rep = norm_boundary_scan(s, gamma=gamma, p=p, eps_grid=grid, cfg=cfg)
+    for k, eps in enumerate(grid):
+        f = extremal_function(s, ExtremalParams(gamma=gamma, trunc=eps))
+
+        def rows(pts, f=f):
+            return (f.eval(pts) ** p)[None]
+
+        split = _per_eps_pass(s.n, cfg, rows, 1, lambda pts: _active_points([s], grid[0], pts))
+        assert rep.lhs[k] == split[0], eps
+        _assert_close([rep.lhs[k]], _per_eps_pass(s.n, cfg, rows, 1), *tol)
 
 
 class TestFusedGrids:
@@ -395,8 +479,9 @@ class TestFusedGrids:
         for edges in ([(1, 2), (3, 4)], [(1, 2)], [(1, 2), (1, 3), (2, 3), (4, 5)]):
             s = decompose(EdgeSet.of(5, edges))
             for grid in (FUSED_GRID, repeated):
-                base, k_idx, p_idx, vals = _extremal_kernel(s, 0.3, grid)(pts)
+                base, k_idx, p_idx, vals, act = _extremal_kernel(s, 0.3, grid)(pts)
                 assert 0 < len(vals) < (len(grid) - 1) * len(pts)
+                assert np.array_equal(act, np.unique(p_idx))
                 rows = np.empty((len(grid), len(pts)))
                 _fill_rows(rows, base, k_idx, p_idx, vals)
                 for k, eps in enumerate(grid):
@@ -420,14 +505,16 @@ class TestFusedGrids:
             edge = _rows_on_a_floor(s, 3)
             pts = np.concatenate([edge, _rows_on_a_floor(s, 10), sampled])
             kernel = _extremal_kernel(s, 0.3, FUSED_GRID)
-            _, k_idx, p_idx, _ = kernel(pts)
+            _, k_idx, p_idx, _, act = kernel(pts)
             pairs = _acting_pairs(s, FUSED_GRID, pts)
             assert list(zip(k_idx.tolist(), p_idx.tolist())) == pairs
             assert len(pairs) > 0 and pairs[0][1] >= len(edge)
+            # the active points are exactly the points with a pair
+            assert act.tolist() == sorted({i for _, i in pairs})
             # no floor acts on a base that equals it: a chunk of such points
             # has no pair, and every row is the base row
-            base, k_idx, p_idx, vals = kernel(edge)
-            assert len(k_idx) == len(p_idx) == len(vals) == 0
+            base, k_idx, p_idx, vals, act = kernel(edge)
+            assert len(k_idx) == len(p_idx) == len(vals) == len(act) == 0
             rows = np.empty((len(FUSED_GRID), len(edge)))
             _fill_rows(rows, base, k_idx, p_idx, vals)
             assert np.array_equal(rows, np.broadcast_to(base, rows.shape))
@@ -467,16 +554,8 @@ class TestFusedGrids:
             t, 0.9 / gamma, gamma, QuadConfig(samples=20_000, seed=62, shards=4))
 
     def test_norm_scan_series_equal_per_eps_passes(self):
-        s = decompose(EdgeSet.of(3, [(1, 2)]))
-        rep = norm_boundary_scan(s, gamma=0.75, p=2.0, eps_grid=FUSED_GRID, cfg=FUSED_CFG)
-        for k, eps in enumerate(FUSED_GRID):
-            f = extremal_function(s, ExtremalParams(gamma=0.75, trunc=eps))
-
-            def fill(pts, out, f=f):
-                out[0] = f.eval(pts) ** 2.0
-
-            ref = mc_sphere_estimates(3, FUSED_CFG, fill, 1)
-            assert rep.lhs[k] == ref[0]
+        _assert_norm_scan_series_equal_per_eps_passes(
+            decompose(EdgeSet.of(3, [(1, 2)])), 0.75, 2.0, FUSED_CFG)
 
     def test_local_growth_series_equal_per_radius_passes(self):
         fams = enumerate_symmetries(BalancedType(3, (2,)))
@@ -510,6 +589,100 @@ class TestFusedGrids:
                 local_growth_experiment(fams, exps, eta=0.1, r_grid=default_r_grid(), cfg=CFG),
             ))
         assert runs[0] == runs[1]
+
+
+class TestSplitReduction:
+    """The grid passes reduce the points where no floor acts apart from the
+    others; the chunks where either set is empty are the edge cases."""
+
+    T = BalancedType(3, (2,))
+
+    def runs(self, cfg, grid):
+        fams = enumerate_symmetries(self.T)
+        _assert_sharpness_series_equal_per_eps_passes(self.T, 1.8, 0.5, cfg, grid,
+                                                      tol=(1e-13, 1e-13))
+        _assert_norm_scan_series_equal_per_eps_passes(fams[0], 0.75, 2.0, cfg, grid,
+                                                      tol=(1e-13, 1e-13))
+
+    def test_chunk_with_no_active_point(self):
+        cfg = QuadConfig(samples=2000, seed=1, shards=4)
+        grid = [2.0 ** -12, 2.0 ** -13, 2.0 ** -14]
+        fams = enumerate_symmetries(self.T)
+        # every shard is one chunk; some have no active point, some one
+        counts = [int(_active_points(fams, grid[0], pts).sum())
+                  for pts in sample_sphere(3, cfg)]
+        assert 0 in counts and max(counts) > 0
+        self.runs(cfg, grid)
+
+    def test_chunk_where_every_point_is_active(self, monkeypatch):
+        from spherebl import quadrature
+        draw = quadrature._sphere_chunk
+
+        def near_the_equator(rng, m, n):
+            # |x_3| below the largest floor 1/8, so every point is active
+            pts = draw(rng, m, n)
+            pts[:, 2] *= 0.1
+            pts[:, :2] *= np.sqrt((1.0 - pts[:, 2] ** 2)
+                                  / (pts[:, :2] ** 2).sum(axis=1))[:, None]
+            return pts
+
+        monkeypatch.setattr(quadrature, "_sphere_chunk", near_the_equator)
+        cfg = QuadConfig(samples=1000, seed=2, shards=2)
+        fams = enumerate_symmetries(self.T)
+        assert all(_active_points(fams, FUSED_GRID[0], pts).all()
+                   for pts in sample_sphere(3, cfg))
+        self.runs(cfg, FUSED_GRID)
+
+    def test_nan_at_an_inactive_point_is_non_finite(self, monkeypatch):
+        from spherebl import quadrature
+        draw = quadrature._sphere_chunk
+        fams = enumerate_symmetries(self.T)
+
+        def with_a_nan(rng, m, n):
+            pts = draw(rng, m, n)
+            pts[0] = np.nan
+            return pts
+
+        monkeypatch.setattr(quadrature, "_sphere_chunk", with_a_nan)
+        cfg = QuadConfig(samples=2000, seed=3, shards=2)
+        for s in fams:
+            pts = next(iter(sample_sphere(3, cfg)))
+            assert 0 not in _extremal_kernel(s, 0.5, FUSED_GRID)(pts)[4]
+        message = "integrand returned a non-finite value, or a negative value"
+        with pytest.raises(NonFiniteSampleError, match=message):
+            sharpness_experiment(self.T, p=1.8, cfg=cfg, eps_grid=FUSED_GRID, gamma=0.5)
+        with pytest.raises(NonFiniteSampleError, match=message):
+            norm_boundary_scan(fams[0], gamma=0.75, p=2.0, eps_grid=FUSED_GRID, cfg=cfg)
+
+    @pytest.mark.parametrize("t", [BalancedType(3, (2,)), BalancedType(4, (2, 2)),
+                                   BalancedType(4, (3,))])
+    def test_series_never_fall_as_eps_shrinks(self, monkeypatch, t):
+        # every level reduces its active columns by sums of one length over
+        # rows that grow entrywise as eps shrinks, and merges in the same
+        # partial of the other points, so every series is monotone to the bit
+        import spherebl.extremal as extremal
+        estimator = extremal.mc_sphere_estimates
+        raw = []
+
+        def spy(*args, **kwargs):
+            raw.append(estimator(*args, **kwargs))
+            return raw[-1]
+
+        monkeypatch.setattr(extremal, "mc_sphere_estimates", spy)
+        gamma = float(critical_gamma(t))
+        p = 0.9 / gamma
+        fams = enumerate_symmetries(t)
+        width = 1 + len(fams)
+        for seed in range(5):
+            cfg = QuadConfig(samples=20_000, seed=seed, shards=4)
+            sharpness_experiment(t, p=p, cfg=cfg, eps_grid=FUSED_GRID, gamma=gamma)
+            scan = norm_boundary_scan(fams[0], gamma=gamma, p=p, eps_grid=FUSED_GRID,
+                                      cfg=cfg)
+            series = [[e.value for e in raw[-2][j::width]] for j in range(width)]
+            series.append([e.value for e in scan.lhs])
+            for vals in series:
+                assert len(vals) == len(FUSED_GRID)
+                assert all(b >= a for a, b in zip(vals, vals[1:])), (seed, vals)
 
 
 def _run_experiment(kind, grid):

@@ -258,6 +258,12 @@ class TestBallReduced:
         assert ball_volume(2) == pytest.approx(math.pi)
         assert ball_volume(3, 2.0) == pytest.approx(4 / 3 * math.pi * 8)
 
+    @pytest.mark.parametrize("radius", [2.0 ** 400, 2.0 ** 341])
+    def test_ball_volume_beyond_the_float_range(self, radius):
+        # radius**3 overflows at 2^400; at 2^341 it is finite, its product not
+        with pytest.raises(ValueError, match="ball volume at radius .* exceeds the float"):
+            ball_volume(3, radius)
+
 
 class TestBlockInvariance:
     def test_random_functions_are_invariant(self):
