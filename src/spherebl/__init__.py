@@ -49,16 +49,12 @@ from .extremal import (
     extremal_function,
     local_growth_experiment,
     norm_boundary_scan,
-    radial_oracle,
     sharpness_experiment,
-    truncated_norm_slope_prediction,
 )
 from .fitting import LineFit, fit_line
 from .functions import (
-    bump_profile,
     capped_power_profile,
     constant_integrand,
-    coordinate_square_integrand,
     random_block_invariant,
     random_block_invariants,
 )
@@ -69,26 +65,19 @@ from .quadrature import (
     IntegrandStack,
     QuadConfig,
     VerificationRecord,
-    ball_reduced_integral,
     ball_volume,
-    block_rotation_residual,
     holder_verify,
     holder_verify_sets,
-    integrate_sphere,
-    lp_norm_sphere,
     mc_ball_estimates,
     mc_sphere_estimates,
-    product_integrand,
     sample_sphere,
 )
 from .symmetry import (
     EdgeSet,
     MultiIndex,
     Symmetry,
-    complement,
     complete_edges,
     decompose,
     is_maximal,
     lie_closure,
-    orthogonal,
 )

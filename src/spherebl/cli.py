@@ -533,10 +533,13 @@ def emit_csv(record: RunRecord, path: str) -> None:
     mode = record.scenario.mode
     _require(_MODES[mode].csv is not None, "csv", f"mode {mode!r} produces no series data")
     header, rows = _MODES[mode].csv
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows(**record.results))
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows(**record.results))
+    except OSError as exc:
+        raise InputError("csv", f"{path}: {exc.strerror or exc}") from exc
 
 
 # --- entry point -----------------------------------------------------------------
@@ -554,6 +557,10 @@ def _load_payload(arg: str | None) -> Any:
         raise InputError("scenario", f"no such file: {arg}")
     except json.JSONDecodeError as exc:
         raise InputError("scenario", f"invalid JSON: {exc}")
+    except OSError as exc:
+        raise InputError("scenario", f"{arg}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # bytes that are not UTF-8
+        raise InputError("scenario", f"{arg}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

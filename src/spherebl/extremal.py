@@ -58,7 +58,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -67,7 +67,6 @@ from .exponents import (
     BalancedType,
     balanced_exponent,
     local_delta,
-    radial_bracket,
 )
 from .fitting import fit_line
 from .functions import capped_power_profile
@@ -247,21 +246,6 @@ def extremal_function(s: Symmetry, params: ExtremalParams) -> Integrand:
     return Integrand(n=s.n, eval=lambda pts: kernel(pts)[0], symmetry_tag=s)
 
 
-def radial_oracle(t: BalancedType, gamma) -> float | Fraction:
-    """Exponent of rho in the polar lower bound for the product integral.
-
-    Returns n - 2 - gamma * B with the occurrence bracket B; the integral
-    diverges exactly when this is <= -1.  Exact when ``gamma`` is a
-    Fraction, float otherwise.  The strength solving exponent == -1 is
-    :func:`spherebl.exponents.critical_gamma`, whose reciprocal is the
-    balanced exponent.
-    """
-    b = radial_bracket(t)
-    if isinstance(gamma, Fraction):
-        return Fraction(t.n - 2) - gamma * b
-    return t.n - 2 - float(gamma) * b
-
-
 # --- reports ----------------------------------------------------------------
 
 
@@ -326,23 +310,6 @@ class GrowthReport:
 
 
 # --- truncated norm boundary scan -------------------------------------------
-
-
-def truncated_norm_slope_prediction(n: int, gamma: float, p: float) -> float:
-    """Asymptotic log-log slope of the truncated norm ||f_eps||_p vs eps.
-
-    For g*p < 1 the norm converges (slope 0).  For g*p > 1 the blow-up is
-    governed by the boundary factors (1 - x^2)^(-g(n-1)/2): flooring them
-    at eps^2 leaves a mass eps^(-(n-1)(gp-1)) in the p-th power, hence
-    slope -(n-1)(gp-1)/p for the norm itself.  At g*p = 1 the divergence
-    is logarithmic and no power slope applies.
-    """
-    gp = gamma * p
-    if gp < 1:
-        return 0.0
-    if gp == 1:
-        raise ValueError("gamma * p == 1 is the logarithmic case")
-    return -(n - 1) * (gp - 1) / p
 
 
 def norm_boundary_scan(s: Symmetry, gamma: float, p: float,
@@ -559,16 +526,15 @@ GROWTH_FIT_TAIL = 0.5
 
 def local_growth_experiment(fams: Sequence[Symmetry], exps: Sequence[int],
                             eta: float, r_grid: Sequence[float],
-                            cfg: QuadConfig,
-                            profiles: Sequence[Callable] | None = None) -> GrowthReport:
+                            cfg: QuadConfig) -> GrowthReport:
     """Estimate the growth of the localized product integral over balls.
 
-    Each member J contributes the pullback of a radial profile of
-    |projection onto its non-block coordinates|; by default the profile is
-    min(1, r^(-s_J)) with s_J = (d_J + eta)/p_J, d_J the projection
-    dimension, so every norm on the right-hand side is finite and the
-    expected asymptotic slope is delta - eta * sum(1/p_J).  The slope is
-    fitted over the trailing half of the radius grid (log-log OLS).
+    Each member J contributes the pullback of the capped profile
+    min(1, r^(-s_J)) of |projection onto its non-block coordinates|, with
+    s_J = (d_J + eta)/p_J, d_J the projection dimension, so every norm on
+    the right-hand side is finite and the expected asymptotic slope is
+    delta - eta * sum(1/p_J).  The slope is fitted over the trailing half
+    of the radius grid (log-log OLS).
     """
     r_grid = _grid(r_grid, 4, descending=False)
     _positive("eta", eta)
@@ -578,10 +544,7 @@ def local_growth_experiment(fams: Sequence[Symmetry], exps: Sequence[int],
     free_cols = [np.array([i - 1 for i in s.alphas[0].complement().support()],
                           dtype=int) for s in fams]
     s_exps = [(len(cols) + eta) / p for cols, p in zip(free_cols, exps)]
-    if profiles is None:
-        profiles = [capped_power_profile(se) for se in s_exps]
-    elif len(profiles) != len(fams):
-        raise ValueError("one profile per family member required")
+    profiles = [capped_power_profile(se) for se in s_exps]
 
     # one draw of the unit ball serves every radius: the points of the ball
     # of radius R are R times those of the unit ball, and so are their

@@ -1,8 +1,11 @@
-"""Built-in integrands for the verification experiments.
+"""Built-in integrands for the verification experiments: constants, the
+random block invariants of the Holder check and the capped power profile
+of the local growth experiment.
 
 Everything here is even in each coordinate by construction (dependence is
-through squares and block radii only), so the reflection-symmetry
-assumption of the product inequalities holds automatically.
+through squares, block radii and projection radii only), so the
+reflection-symmetry assumption of the product inequalities holds
+automatically.
 
 The random block invariants of a whole family are one kernel,
 :func:`random_block_invariants`: an :class:`IntegrandStack` that fills every
@@ -27,14 +30,6 @@ def constant_integrand(n: int, value: float = 1.0,
     if value < 0:
         raise ValueError("integrands are nonnegative")
     return Integrand(n=n, eval=lambda pts: np.full(len(pts), float(value)),
-                     symmetry_tag=tag)
-
-
-def coordinate_square_integrand(n: int, index: int, offset: float = 0.0,
-                                tag: Symmetry | None = None) -> Integrand:
-    """offset + x_index^2 (1-based index)."""
-    col = index - 1
-    return Integrand(n=n, eval=lambda pts: offset + pts[:, col] ** 2,
                      symmetry_tag=tag)
 
 
@@ -120,25 +115,13 @@ def random_block_invariant(s: Symmetry, seed: int, amplitude: float = 1.0) -> In
 
 
 def capped_power_profile(exponent: float):
-    """r -> min(1, r^(-exponent)); bounded, integrable tails for small
-    exponents, the workhorse of the local growth experiment."""
+    """r -> min(1, r^(-exponent)); bounded, with integrable tails for small
+    exponents: the profile of the local growth experiment."""
     if exponent <= 0:
         raise ValueError("exponent must be positive")
 
     def profile(r: np.ndarray) -> np.ndarray:
         r = np.maximum(np.asarray(r, dtype=float), np.finfo(float).tiny)
         return np.minimum(1.0, r ** (-exponent))
-
-    return profile
-
-
-def bump_profile(radius: float = 1.0):
-    """Compactly supported radial bump (1 - (r/radius)^2)_+ ."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-
-    def profile(r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        return np.clip(1.0 - (r / radius) ** 2, 0.0, None)
 
     return profile

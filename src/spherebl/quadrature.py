@@ -1,4 +1,8 @@
-"""Seeded Monte Carlo integration on spheres and balls.
+"""Seeded Monte Carlo estimators on spheres and balls, and the
+product-versus-norms check built on them.
+
+The estimators are :func:`mc_sphere_estimates` and
+:func:`mc_ball_estimates`; the check is :func:`holder_verify`.
 
 One function, :func:`_shard_streams`, draws every point that an estimator,
 :func:`sample_sphere` or an experiment sees.  Points on the sphere are
@@ -22,10 +26,9 @@ chunk of m points it hands ``fill`` a C-contiguous (series, m) view of that
 block to overwrite, then reduces the block in place.  A fill may instead
 reduce some of the points itself, write the others into the leading
 columns and return its partial, which the engine merges in (see
-:func:`mc_sphere_estimates`).  The chunk a pass
-evaluates at a time shrinks with the number of series
-(:data:`_CHUNK_BUDGET`), so the last bit of a sum can depend on the series
-count, never the points themselves.
+:func:`mc_sphere_estimates`).  The chunk a pass evaluates at a time
+shrinks with the number of series (:data:`_CHUNK_BUDGET`), so the last bit
+of a sum can depend on the series count, never the points themselves.
 
 The product-versus-norms check works in log space.
 :attr:`IntegrandStack.fill` has the signature of ``fill`` but writes log f,
@@ -107,9 +110,9 @@ class Integrand:
     ``eval`` is vectorized: it receives an (m, n) array of unit vectors and
     returns m values.  ``symmetry_tag`` declares the block symmetry the
     function claims to respect (invariance under rotations inside each
-    block); see :func:`block_rotation_residual` for the check.  Functions
-    are assumed even in each coordinate; nothing enforces it, but the
-    verification records flag integrands whose symmetry is untagged.
+    block).  Functions are assumed even in each coordinate; nothing
+    enforces either claim, but the verification records flag integrands
+    whose symmetry is untagged.
     """
 
     n: int
@@ -171,8 +174,11 @@ def _worker_count(shards: int) -> int:
 
 
 def _shard_counts(samples: int, shards: int) -> list[int]:
+    """The sample counts of the shards that hold samples: the first
+    min(shards, samples), so a shard count far above the sample count
+    costs nothing."""
     base, extra = divmod(samples, shards)
-    return [base + (1 if k < extra else 0) for k in range(shards)]
+    return [base + (1 if k < extra else 0) for k in range(min(shards, samples))]
 
 
 def _shard_rng(seed: int, *key: int) -> np.random.Generator:
@@ -220,8 +226,7 @@ def _shard_streams(cfg: QuadConfig, dim: int, chunk: int,
                 yield g
 
     for shard, count in enumerate(_shard_counts(cfg.samples, cfg.shards)):
-        if count:
-            yield chunks(shard, count)
+        yield chunks(shard, count)
 
 
 def _merge(a, b):
@@ -382,14 +387,6 @@ def sample_sphere(n: int, cfg: QuadConfig) -> Iterator[np.ndarray]:
         yield from points
 
 
-def integrate_sphere(f: Integrand, cfg: QuadConfig) -> Estimate:
-    """MC mean of ``f`` against the normalized uniform measure."""
-    def fill(pts: np.ndarray, out: np.ndarray) -> None:
-        out[0] = f.eval(pts)
-
-    return mc_sphere_estimates(f.n, cfg, fill, 1)[0]
-
-
 def _power_transform(est: Estimate, p: float) -> Estimate:
     """Delta-method transform of an estimate of m = ||f||_p^p to m^(1/p)."""
     if est.value <= 0.0:
@@ -397,65 +394,6 @@ def _power_transform(est: Estimate, p: float) -> Estimate:
     value = est.value ** (1.0 / p)
     stderr = est.stderr * est.value ** (1.0 / p - 1.0) / p
     return Estimate(value, stderr, est.samples, est.seed)
-
-
-def lp_norm_sphere(f: Integrand, p: float, cfg: QuadConfig) -> Estimate:
-    """(integral of f^p)^(1/p) with a delta-method standard error."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    def fill(pts: np.ndarray, out: np.ndarray) -> None:
-        out[0] = f.eval(pts) ** p
-
-    raw = mc_sphere_estimates(f.n, cfg, fill, 1)[0]
-    return _power_transform(raw, p)
-
-
-def ball_reduced_integral(f: Integrand, alpha, cfg: QuadConfig) -> Estimate:
-    """Weighted ball integral equivalent (up to a dimensional constant) to
-    the sphere integral of a function of the block ``alpha``.
-
-    Estimates  int_{B_k} f(y) (1 - |y|^2)^((n-2-k)/2) dy  with k = |alpha|,
-    by uniform sampling on the k-ball times its volume.  ``f.eval`` must
-    factor through the alpha-coordinates; the remaining coordinates of the
-    evaluation points are filled so each point stays on the sphere.
-    """
-    n = f.n
-    k = alpha.weight
-    if not 1 <= k <= n - 1:
-        raise ValueError("the block must be proper: 1 <= |alpha| <= n-1")
-    cols = np.array([i - 1 for i in alpha.support()], dtype=int)
-    spare = next(i for i in range(n) if i not in set(cols.tolist()))
-    expo = (n - 2 - k) / 2.0
-
-    def fill(ys: np.ndarray, out: np.ndarray) -> None:
-        m = len(ys)
-        r2 = (ys * ys).sum(axis=1)
-        rest = np.clip(1.0 - r2, 0.0, None)
-        pts = np.zeros((m, n))
-        pts[:, cols] = ys
-        pts[:, spare] = np.sqrt(rest)
-        if expo < 0:
-            weight = np.maximum(rest, np.finfo(float).tiny) ** expo
-        else:
-            weight = rest**expo
-        np.multiply(f.eval(pts), weight, out=out[0])
-
-    return mc_ball_estimates(k, 1.0, cfg, fill, 1)[0]
-
-
-def product_integrand(fs: Sequence[Integrand]) -> Integrand:
-    """Pointwise product of several integrands on the same sphere."""
-    n = fs[0].n
-    if any(f.n != n for f in fs):
-        raise ValueError("integrands live on different spheres")
-
-    def ev(pts: np.ndarray) -> np.ndarray:
-        out = np.asarray(fs[0].eval(pts), dtype=float).copy()
-        for f in fs[1:]:
-            out *= f.eval(pts)
-        return out
-
-    return Integrand(n=n, eval=ev)
 
 
 @dataclass(frozen=True)
@@ -588,33 +526,3 @@ def holder_verify_sets(fams: Sequence[Symmetry],
     ests = mc_sphere_estimates(n, cfg, fill, len(stacks) * width)
     return [_holder_record(ests[k * width:(k + 1) * width], ps, flags[k])
             for k in range(len(stacks))]
-
-
-def block_rotation_residual(f: Integrand, cfg: QuadConfig | None = None,
-                            points: int = 256) -> float:
-    """Largest relative change of ``f`` under one random in-block rotation.
-
-    Zero (up to roundoff) for a genuinely block-symmetric integrand; used
-    to validate ``symmetry_tag`` claims.
-    """
-    if f.symmetry_tag is None:
-        raise ValueError("integrand carries no symmetry tag")
-    cfg = cfg or QuadConfig(samples=max(100, points), seed=7, shards=1)
-    rng = _shard_rng(cfg.seed, 0)
-    pts = _sphere_chunk(rng, points, f.n)
-    base = np.asarray(f.eval(pts), dtype=float)
-    worst = 0.0
-    for a in f.symmetry_tag.alphas:
-        sup = [i - 1 for i in a.support()]
-        if len(sup) < 2:
-            continue
-        i, j = rng.choice(len(sup), size=2, replace=False)
-        ci, cj = sup[int(i)], sup[int(j)]
-        theta = rng.random() * 2 * np.pi
-        rot = pts.copy()
-        rot[:, ci] = np.cos(theta) * pts[:, ci] - np.sin(theta) * pts[:, cj]
-        rot[:, cj] = np.sin(theta) * pts[:, ci] + np.cos(theta) * pts[:, cj]
-        vals = np.asarray(f.eval(rot), dtype=float)
-        denom = np.maximum(np.abs(base), 1e-300)
-        worst = max(worst, float(np.max(np.abs(vals - base) / denom)))
-    return worst

@@ -142,16 +142,6 @@ def _init(a: MultiIndex, n: int, mask: int) -> None:
     object.__setattr__(a, "mask", mask)
 
 
-def orthogonal(a: MultiIndex, b: MultiIndex) -> bool:
-    """True when the two blocks share no coordinate."""
-    return a.dot(b) == 0
-
-
-def complement(a: MultiIndex) -> MultiIndex:
-    """Componentwise 1 - bits; an involution."""
-    return a.complement()
-
-
 @dataclass(frozen=True)
 class EdgeSet:
     """A set of coordinate-plane rotations, stored as edges (i, j), i < j."""

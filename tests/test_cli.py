@@ -287,6 +287,24 @@ class TestRunAndRecord:
     def test_missing_file(self, capsys):
         assert main(["decompose", "/nonexistent/x.json"]) == 1
 
+    def test_directory_as_scenario(self, tmp_path, capsys):
+        assert main(["exponents", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: scenario: {tmp_path}: Is a directory\n"
+
+    def test_scenario_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_bytes(b'{"n": 4, "lengths": [\xff]}')
+        assert main(["exponents", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: scenario: {path}: ") and "utf-8" in err
+
+    def test_csv_in_a_missing_directory(self, tmp_path, capsys):
+        payload = {"type": {"n": 3, "lengths": [2]},
+                   "quad": {"samples": 1000, "seed": 1, "shards": 1}}
+        out = tmp_path / "no" / "x.csv"
+        assert main(["verify-local", write(tmp_path, "s.json", payload), "--csv", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: csv: {out}: No such file or directory\n"
+
     @pytest.mark.parametrize("mode, extra, code", [
         ("verify-holder", {"p": 1e300}, 1),
         ("verify-sharpness", {"p": 1e300, "gamma": 1e-301}, 1),

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,27 +17,73 @@ from spherebl import (
     MultiIndex,
     NonFiniteSampleError,
     QuadConfig,
-    ball_reduced_integral,
     ball_volume,
-    block_rotation_residual,
     constant_integrand,
-    coordinate_square_integrand,
     decompose,
     enumerate_symmetries,
     holder_verify,
     holder_verify_sets,
-    integrate_sphere,
-    lp_norm_sphere,
     mc_ball_estimates,
     mc_sphere_estimates,
     per_function_exponents,
-    product_integrand,
     random_block_invariant,
     random_block_invariants,
     sample_sphere,
 )
 
 CFG = QuadConfig(samples=200_000, seed=91, shards=4)
+
+
+def integrate(f, cfg):
+    """The engine's estimate of the mean of ``f`` over the sphere."""
+    def fill(pts, out):
+        out[0] = f.eval(pts)
+
+    return mc_sphere_estimates(f.n, cfg, fill, 1)[0]
+
+
+def ball_reduced_integral(f, alpha, cfg):
+    """Reference: the sphere integral of a function of the block ``alpha``,
+    up to a dimensional constant, as the weighted ball integral
+    int_{B_k} f(y) (1 - |y|^2)^((n-2-k)/2) dy with k = |alpha|.
+
+    ``f.eval`` must factor through the alpha-coordinates; the other
+    coordinates of the evaluation points keep each point on the sphere.
+    """
+    n, k = f.n, alpha.weight
+    if not 1 <= k <= n - 1:
+        raise ValueError("the block must be proper: 1 <= |alpha| <= n-1")
+    cols = [i - 1 for i in alpha.support()]
+    spare = next(i for i in range(n) if i not in cols)
+    expo = (n - 2 - k) / 2.0
+
+    def fill(ys, out):
+        rest = np.clip(1.0 - (ys * ys).sum(axis=1), 0.0, None)
+        pts = np.zeros((len(ys), n))
+        pts[:, cols] = ys
+        pts[:, spare] = np.sqrt(rest)
+        weight = np.maximum(rest, np.finfo(float).tiny) ** expo if expo < 0 else rest ** expo
+        out[0] = f.eval(pts) * weight
+
+    return mc_ball_estimates(k, 1.0, cfg, fill, 1)[0]
+
+
+def block_rotation_residual(f, points=256):
+    """Largest relative change of ``f`` under one random rotation inside
+    each block of its symmetry tag; roundoff for a block-invariant ``f``."""
+    rng = np.random.default_rng(7)
+    pts = rng.standard_normal((points, f.n))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    base = f.eval(pts)
+    worst = 0.0
+    for a in f.symmetry_tag.alphas:
+        ci, cj = rng.choice(a.support(), size=2, replace=False) - 1
+        theta = rng.random() * 2 * np.pi
+        rot = pts.copy()
+        rot[:, ci] = np.cos(theta) * pts[:, ci] - np.sin(theta) * pts[:, cj]
+        rot[:, cj] = np.sin(theta) * pts[:, ci] + np.cos(theta) * pts[:, cj]
+        worst = max(worst, float(np.max(np.abs(f.eval(rot) - base) / np.abs(base))))
+    return worst
 
 
 def within(est, target, k=3.0, floor=1e-12):
@@ -51,12 +98,12 @@ class TestSampling:
             assert np.abs(norms - 1.0).max() < 1e-12
 
     def test_first_moment_zero(self):
-        est = integrate_sphere(Integrand(3, lambda p: p[:, 0]), CFG)
+        est = integrate(Integrand(3, lambda p: p[:, 0]), CFG)
         assert within(est, 0.0)
 
     def test_second_moment(self):
         for n in (3, 5):
-            est = integrate_sphere(Integrand(n, lambda p: p[:, 0] ** 2), CFG)
+            est = integrate(Integrand(n, lambda p: p[:, 0] ** 2), CFG)
             assert within(est, 1.0 / n)
 
     def test_sample_count(self):
@@ -68,29 +115,43 @@ class TestSampling:
 class TestDeterminism:
     def test_bit_identical_rerun(self):
         f = Integrand(4, lambda p: np.exp(p[:, 0] * p[:, 1]))
-        a = integrate_sphere(f, CFG)
-        b = integrate_sphere(f, CFG)
+        a = integrate(f, CFG)
+        b = integrate(f, CFG)
         assert a == b
 
     def test_seed_changes_value(self):
         f = Integrand(4, lambda p: np.exp(p[:, 0] * p[:, 1]))
-        a = integrate_sphere(f, CFG)
-        b = integrate_sphere(f, CFG.with_seed(92))
+        a = integrate(f, CFG)
+        b = integrate(f, CFG.with_seed(92))
         assert a.value != b.value
 
     def test_shard_count_agreement(self):
         f = Integrand(3, lambda p: (1 + p[:, 2] ** 2) ** 2)
-        a = integrate_sphere(f, QuadConfig(samples=400_000, seed=7, shards=1))
-        b = integrate_sphere(f, QuadConfig(samples=400_000, seed=7, shards=8))
+        a = integrate(f, QuadConfig(samples=400_000, seed=7, shards=1))
+        b = integrate(f, QuadConfig(samples=400_000, seed=7, shards=8))
         assert abs(a.value - b.value) <= 3 * math.hypot(a.stderr, b.stderr)
 
     def test_worker_width_does_not_change_values(self, monkeypatch):
         f = Integrand(4, lambda p: np.exp(p[:, 0] * p[:, 1]))
         monkeypatch.setenv("SPHEREBL_WORKERS", "1")
-        serial = integrate_sphere(f, CFG)
+        serial = integrate(f, CFG)
         monkeypatch.setenv("SPHEREBL_WORKERS", "4")
-        threaded = integrate_sphere(f, CFG)
+        threaded = integrate(f, CFG)
         assert serial == threaded
+
+    def test_shards_beyond_the_samples_cost_nothing(self, monkeypatch):
+        # only the first min(shards, samples) shards can hold a sample
+        monkeypatch.setenv("SPHEREBL_WORKERS", "1")
+        f = Integrand(3, lambda p: p[:, 0] ** 2)
+        few = integrate(f, QuadConfig(samples=100, seed=3, shards=100))
+        tracemalloc.start()
+        try:
+            many = integrate(f, QuadConfig(samples=100, seed=3, shards=10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert many == few
+        assert peak < 2**20, peak
 
     @pytest.mark.parametrize("env", ["abc", "-3", "0", "2.5", " 2"])
     def test_invalid_worker_setting_names_the_variable(self, monkeypatch, env):
@@ -148,54 +209,47 @@ class TestEngineBlock:
 
 class TestIntegrate:
     def test_constant(self):
-        est = integrate_sphere(constant_integrand(5, 1.0), CFG)
+        est = integrate(constant_integrand(5, 1.0), CFG)
         assert est.value == 1.0 and est.stderr == 0.0
 
     def test_large_mean_keeps_its_spread(self):
         # s2 - s1^2/m cancels to 0 here; merged deviations keep the spread
         cfg = QuadConfig(samples=1_000_000, seed=1, shards=4)
-        plain = integrate_sphere(coordinate_square_integrand(3, 1), cfg)
-        shifted = integrate_sphere(coordinate_square_integrand(3, 1, offset=1e8), cfg)
+        plain = integrate(Integrand(3, lambda p: p[:, 0] ** 2), cfg)
+        shifted = integrate(Integrand(3, lambda p: 1e8 + p[:, 0] ** 2), cfg)
         assert plain.stderr == pytest.approx(2.98e-4, rel=0.01)
         assert shifted.stderr == pytest.approx(plain.stderr, rel=0.01)
 
     def test_non_finite_rejected(self):
         bad = Integrand(3, lambda p: np.where(p[:, 0] < 2, np.inf, 1.0))
         with pytest.raises(NonFiniteSampleError):
-            integrate_sphere(bad, CFG)
+            integrate(bad, CFG)
 
     def test_carries_provenance(self):
-        est = integrate_sphere(constant_integrand(3, 2.0), CFG)
+        est = integrate(constant_integrand(3, 2.0), CFG)
         assert est.samples == CFG.samples and est.seed == CFG.seed
 
 
 class TestLpNorm:
-    def test_constant_any_p(self):
-        for p in (1.0, 2.0, 3.5):
-            est = lp_norm_sphere(constant_integrand(4, 2.5), p, CFG)
-            assert abs(est.value - 2.5) < 1e-12
+    # the norms of the Hoelder check, the library's one L^p path
+    FAMS = enumerate_symmetries(BalancedType(3, (2,)))
 
-    def test_p1_equals_integral(self):
-        f = Integrand(3, lambda p: np.abs(p[:, 1]))
-        a = lp_norm_sphere(f, 1.0, CFG)
-        b = integrate_sphere(f, CFG)
-        assert a.value == pytest.approx(b.value, rel=1e-12)
+    def test_constant_any_p(self):
+        for p in (2.0, 3.5):
+            rec = holder_verify(self.FAMS, [constant_integrand(3, 2.5)] * 3, [p] * 3, CFG)
+            assert all(abs(est.value - 2.5) < 1e-12 for est in rec.norms)
 
     def test_monotone_in_p(self):
         # probability measure: ||f||_p nondecreasing in p
         fs = [
             Integrand(3, lambda p: 1 + p[:, 0] ** 2),
-            Integrand(4, lambda p: np.exp(p[:, 1] ** 2)),
+            Integrand(3, lambda p: np.exp(p[:, 1] ** 2)),
             Integrand(3, lambda p: np.abs(p[:, 2]) + 0.1),
         ]
         for f in fs:
-            norms = [lp_norm_sphere(f, p, CFG) for p in (1.0, 1.5, 2.0, 4.0)]
+            norms = holder_verify(self.FAMS, [f] * 3, [2.0, 3.0, 4.0], CFG).norms
             for a, b in zip(norms, norms[1:]):
                 assert b.value >= a.value - 3 * math.hypot(a.stderr, b.stderr)
-
-    def test_p_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            lp_norm_sphere(constant_integrand(3), 0.5, CFG)
 
 
 class TestBallReduced:
@@ -214,7 +268,7 @@ class TestBallReduced:
                    lambda p: (p[:, :2] ** 2).sum(axis=1),
                    lambda p: 1 - (p[:, :2] ** 2).sum(axis=1)]:
             f = Integrand(4, ev)
-            sph = integrate_sphere(f, CFG)
+            sph = integrate(f, CFG)
             bal = ball_reduced_integral(f, alpha, CFG)
             ratios.append((sph, bal))
         vals = [s.value / b.value for s, b in ratios]
@@ -234,7 +288,7 @@ class TestBallReduced:
         alpha = MultiIndex.from_support(4, [1, 2])  # f factors through x_{1,2}
         f = Integrand(4, ev)
         cfg = QuadConfig(samples=400_000, seed=17, shards=4)
-        sph_f, sph_1 = integrate_sphere(f, cfg), integrate_sphere(constant_integrand(4), cfg)
+        sph_f, sph_1 = integrate(f, cfg), integrate(constant_integrand(4), cfg)
         bal_f, bal_1 = (ball_reduced_integral(f, alpha, cfg),
                         ball_reduced_integral(constant_integrand(4), alpha, cfg))
         lhs = sph_f.value / sph_1.value
@@ -296,7 +350,7 @@ class TestHolder:
     def test_one_variable_squares(self):
         fams = enumerate_symmetries(BalancedType(3, (2,)))
         # the function tied to block {i,j} depends on the remaining coordinate
-        fs = [coordinate_square_integrand(3, s.r_mask.support()[0], offset=1.0, tag=s)
+        fs = [Integrand(3, lambda p, k=s.r_mask.support()[0] - 1: 1.0 + p[:, k] ** 2, s)
               for s in fams]
         rec = holder_verify(fams, fs, [2.0] * 3, CFG)
         assert rec.passed
@@ -410,8 +464,11 @@ class TestHolder:
         ps = [2.0, 3.0, 2.0]
         rec = holder_verify(fams, fs, ps, CFG)
         for f, p, norm in zip(fs, ps, rec.norms):
-            alone = lp_norm_sphere(f, p, CFG)
-            assert norm.value == pytest.approx(alone.value, rel=1e-12)
+            def power(pts, out, f=f, p=p):
+                out[0] = f.eval(pts) ** p
+
+            alone = mc_sphere_estimates(3, CFG, power, 1)[0]
+            assert norm.value == pytest.approx(alone.value ** (1 / p), rel=1e-12)
 
     def test_record_round_trip(self):
         from spherebl.cli import _encode
@@ -464,17 +521,6 @@ class TestRandomBlockInvariants:
     def test_adapter_rejects_mixed_dimensions(self):
         with pytest.raises(ValueError, match="dimension"):
             IntegrandStack.of([constant_integrand(3), constant_integrand(4)])
-
-
-class TestProductIntegrand:
-    def test_product(self):
-        f = product_integrand([constant_integrand(3, 2.0), constant_integrand(3, 3.0)])
-        est = integrate_sphere(f, CFG)
-        assert est.value == pytest.approx(6.0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            product_integrand([constant_integrand(3), constant_integrand(4)])
 
 
 class TestBallSampling:

@@ -11,11 +11,9 @@ from spherebl import (
     MultiIndex,
     NotMaximalError,
     Symmetry,
-    complement,
     decompose,
     is_maximal,
     lie_closure,
-    orthogonal,
 )
 from spherebl.cli import _encode
 from oracles import bracket_closure_oracle
@@ -27,18 +25,18 @@ def mi(n, *support):
 
 class TestMultiIndex:
     def test_orthogonal_disjoint(self):
-        assert orthogonal(MultiIndex(4, (1, 1, 0, 0)), MultiIndex(4, (0, 0, 1, 1)))
+        assert MultiIndex(4, (1, 1, 0, 0)).dot(MultiIndex(4, (0, 0, 1, 1))) == 0
 
     def test_orthogonal_shared_index(self):
-        assert not orthogonal(MultiIndex(4, (1, 1, 0, 0)), MultiIndex(4, (0, 1, 1, 0)))
+        assert MultiIndex(4, (1, 1, 0, 0)).dot(MultiIndex(4, (0, 1, 1, 0))) == 1
 
     def test_orthogonal_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            orthogonal(MultiIndex(4, (1, 1, 0, 0)), MultiIndex(5, (1, 1, 0, 0, 0)))
+            MultiIndex(4, (1, 1, 0, 0)).dot(MultiIndex(5, (1, 1, 0, 0, 0)))
 
     def test_complement(self):
-        assert complement(MultiIndex(4, (1, 0, 1, 0))).bits == (0, 1, 0, 1)
-        assert complement(MultiIndex(4, (1, 1, 1, 1))).bits == (0, 0, 0, 0)
+        assert MultiIndex(4, (1, 0, 1, 0)).complement().bits == (0, 1, 0, 1)
+        assert MultiIndex(4, (1, 1, 1, 1)).complement().bits == (0, 0, 0, 0)
 
     def test_weight_and_support(self):
         a = mi(5, 2, 4)
@@ -58,8 +56,8 @@ class TestMultiIndex:
     def test_complement_involution(self, case):
         n, bits = case
         a = MultiIndex(n, tuple(bits))
-        assert complement(complement(a)) == a
-        assert orthogonal(a, complement(a))
+        assert a.complement().complement() == a
+        assert a.dot(a.complement()) == 0
 
 
 class TestEdgeSet:
