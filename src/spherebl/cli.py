@@ -98,8 +98,9 @@ def _encode(value: Any) -> Any:
     """The plain JSON values of a result, built eagerly for ``json.dump``.
 
     Dicts, lists and tuples are walked; a ``MultiIndex`` becomes its 0/1
-    list, a ``frozenset`` a sorted list, a ``Fraction`` ``{"num", "den"}``
-    and a dataclass a dict of its fields in declaration order.
+    list, an ``EdgeSet`` ``{"n", "edges"}`` with its sorted [i, j] pairs, a
+    ``Fraction`` ``{"num", "den"}`` and a dataclass a dict of its fields in
+    declaration order.
     """
     if isinstance(value, MultiIndex):  # the most frequent value of a record
         return list(value.bits)
@@ -109,14 +110,14 @@ def _encode(value: Any) -> Any:
         return [_encode(v) for v in value]
     if isinstance(value, dict):
         return {k: _encode(v) for k, v in value.items()}
+    if isinstance(value, EdgeSet):
+        return {"n": value.n, "edges": [list(e) for e in value.sorted_edges()]}
     if dataclasses.is_dataclass(value):
         cls = type(value)
         out = {"kind": _KIND[cls]} if cls in _KIND else {}
         for name, key in _wire_fields(cls):
             out[key] = _encode(getattr(value, name))
         return out
-    if isinstance(value, frozenset):
-        return [_encode(v) for v in sorted(value)]
     if isinstance(value, Fraction):
         return {"num": value.numerator, "den": value.denominator}
     raise TypeError(f"no JSON form for {type(value).__name__}")

@@ -41,7 +41,7 @@ def iter_symmetries(t: BalancedType) -> Iterator[Symmetry]:
                 yield (block,) + tail
 
     for masks in assign((1 << n) - 1, t.lengths):
-        yield Symmetry.of(n, [MultiIndex.from_mask(n, m) for m in masks])
+        yield Symmetry.of(n, [MultiIndex(n, m) for m in masks])
 
 
 def enumerate_symmetries(t: BalancedType, cap: int = DEFAULT_CAP) -> list[Symmetry]:

@@ -89,9 +89,6 @@ class QuadConfig:
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
 
-    def with_seed(self, seed: int) -> "QuadConfig":
-        return QuadConfig(self.samples, seed, self.shards)
-
 
 @dataclass(frozen=True)
 class Estimate:

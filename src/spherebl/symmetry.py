@@ -17,15 +17,17 @@ block.  A smooth function on the sphere annihilated by the subset is
 invariant under rotations inside each block; it depends only on the block
 radii and the free coordinates.
 
-Internally everything is an integer bitmask, read most significant bit
-first:
+Both objects are plain integer bitmasks, read most significant bit first:
 
-* a coordinate set (``MultiIndex.mask``) holds coordinate i at bit n - i,
-  so its n-digit binary string is the 0/1 vector ``bits``, and comparing
-  masks of one dimension compares those vectors lexicographically;
-* an edge bitset holds the k-th edge of :func:`complete_edges` at bit
-  C(n, 2) - 1 - k, i.e. edge (i, j) at bit C(n - i, 2) + n - j, so its
-  C(n, 2)-digit binary string is the indicator over ``complete_edges(n)``.
+* a ``MultiIndex`` stores a coordinate set as ``mask``, coordinate i at
+  bit n - i, so its n-digit binary string is the 0/1 vector ``bits``, and
+  comparing masks of one dimension compares those vectors
+  lexicographically;
+* an ``EdgeSet`` stores its edges as ``bits``, the k-th edge of
+  :func:`complete_edges` at bit C(n, 2) - 1 - k, i.e. edge (i, j) at bit
+  C(n - i, 2) + n - j, so its C(n, 2)-digit binary string is the indicator
+  over ``complete_edges(n)``, and row i, ``bits >> C(n - i, 2)`` masked to
+  n - i bits, holds the neighbours j > i of vertex i at bits n - j.
 
 Disjointness, unions, complements and sizes are then single integer
 operations (``&``, ``|``, ``^``, ``int.bit_count``).
@@ -62,31 +64,18 @@ def _check_edge(n: int, i: int, j: int) -> None:
         raise ValueError(f"edge ({i}, {j}) needs i<j, both in [1, {n}]")
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@dataclass(frozen=True, slots=True)
 class MultiIndex:
-    """A 0/1 vector of length ``n`` marking a coordinate block, stored as
-    ``mask`` (coordinate i at bit n - i)."""
+    """A coordinate block of R^n: ``mask`` holds coordinate i at bit n - i,
+    so its n-digit binary string is the 0/1 vector ``bits``."""
 
     n: int
     mask: int
 
-    def __init__(self, n: int, bits: Sequence[int]):
-        bits = tuple(int(b) for b in bits)
-        if len(bits) != n:
-            raise ValueError(f"expected {n} bits, got {len(bits)}")
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError("bits must be 0 or 1")
-        mask = 0
-        for b in bits:
-            mask = mask << 1 | b
-        _init(self, n, mask)
-
-    @classmethod
-    def from_mask(cls, n: int, mask: int) -> "MultiIndex":
-        """Build from a mask holding coordinate i at bit n - i."""
-        self = object.__new__(cls)
-        _init(self, n, mask)
-        return self
+    def __post_init__(self):
+        _check_dimension(self.n)
+        if not isinstance(self.mask, int) or self.mask < 0 or self.mask >> self.n:
+            raise ValueError(f"mask must be an integer in [0, 2^{self.n})")
 
     @classmethod
     def from_support(cls, n: int, indices: Iterable[int]) -> "MultiIndex":
@@ -96,11 +85,7 @@ class MultiIndex:
             if not 1 <= i <= n:
                 raise ValueError(f"support indices must lie in [1, {n}]")
             mask |= 1 << (n - i)
-        return cls.from_mask(n, mask)
-
-    @classmethod
-    def ones(cls, n: int) -> "MultiIndex":
-        return cls.from_mask(n, (1 << n) - 1)
+        return cls(n, mask)
 
     @property
     def bits(self) -> tuple[int, ...]:
@@ -117,16 +102,7 @@ class MultiIndex:
         return tuple(i for i in range(1, n + 1) if mask >> (n - i) & 1)
 
     def complement(self) -> "MultiIndex":
-        return MultiIndex.from_mask(self.n, self.mask ^ ((1 << self.n) - 1))
-
-    def dot(self, other: "MultiIndex") -> int:
-        if self.n != other.n:
-            raise DimensionMismatchError(
-                f"multi-indices of dimension {self.n} and {other.n}")
-        return (self.mask & other.mask).bit_count()
-
-    def __repr__(self) -> str:
-        return f"MultiIndex({self.n}, {self.bits})"
+        return MultiIndex(self.n, self.mask ^ ((1 << self.n) - 1))
 
 
 @lru_cache(maxsize=4096)  # the blocks of a family repeat across its members
@@ -134,48 +110,44 @@ def _bits(n: int, mask: int) -> tuple[int, ...]:
     return tuple([mask >> k & 1 for k in range(n - 1, -1, -1)])
 
 
-def _init(a: MultiIndex, n: int, mask: int) -> None:
-    _check_dimension(n)
-    if not isinstance(mask, int) or mask < 0 or mask >> n:
-        raise ValueError(f"mask must be an integer in [0, 2^{n})")
-    object.__setattr__(a, "n", n)
-    object.__setattr__(a, "mask", mask)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeSet:
-    """A set of coordinate-plane rotations, stored as edges (i, j), i < j."""
+    """A set of coordinate-plane rotations: ``bits`` holds edge (i, j),
+    i < j, at bit C(n - i, 2) + n - j."""
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    bits: int
 
     def __post_init__(self):
         _check_dimension(self.n)
-        norm = frozenset((int(i), int(j)) for i, j in self.edges)
-        for i, j in norm:
-            _check_edge(self.n, i, j)
-        object.__setattr__(self, "edges", norm)
+        if not isinstance(self.bits, int) or self.bits < 0 or self.bits >> comb(self.n, 2):
+            raise ValueError(f"edge bits must be an integer in [0, 2^{comb(self.n, 2)})")
 
     @classmethod
     def of(cls, n: int, edges: Iterable[Sequence[int]]) -> "EdgeSet":
-        return cls(n, frozenset((e[0], e[1]) for e in edges))
+        """Build from edges (i, j), 1 <= i < j <= n; repeats are merged."""
+        bits = 0
+        for e in edges:
+            i, j = int(e[0]), int(e[1])
+            _check_edge(n, i, j)
+            bits |= 1 << (comb(n - i, 2) + n - j)
+        return cls(n, bits)
 
-    @classmethod
-    def empty(cls, n: int) -> "EdgeSet":
-        return cls(n, frozenset())
-
-    @classmethod
-    def full(cls, n: int) -> "EdgeSet":
-        return cls(n, frozenset(complete_edges(n)))
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.sorted_edges())
 
     def __contains__(self, edge) -> bool:
-        return tuple(edge) in self.edges
+        (i, j), n = edge, self.n
+        return 1 <= i < j <= n and self.bits >> (comb(n - i, 2) + n - j) & 1 == 1
 
     def __len__(self) -> int:
-        return len(self.edges)
+        return self.bits.bit_count()
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        edges, bits = complete_edges(self.n), self.bits
+        top = len(edges) - 1  # the k-th edge sits at bit top - k
+        return [e for k, e in enumerate(edges) if bits >> (top - k) & 1]
 
 
 def complete_edges(n: int) -> list[tuple[int, int]]:
@@ -198,23 +170,19 @@ def _clique_bits(mask: int) -> int:
     return bits
 
 
-def _edge_bits(A: EdgeSet) -> int:
-    return sum(1 << (comb(A.n - i, 2) + A.n - j) for i, j in A.edges)
-
-
-def _edge_set(n: int, bits: int) -> EdgeSet:
-    edges = reversed(complete_edges(n))  # bit k holds the k-th edge from the end
-    return EdgeSet(n, frozenset(e for k, e in enumerate(edges) if bits >> k & 1))
-
-
 def _components(A: EdgeSet) -> list[int]:
     """Vertex masks of the connected components of ([n], edges), ordered by
     smallest vertex.  Isolated vertices come back as singletons."""
-    n = A.n
+    n, bits = A.n, A.bits
     adj = [0] * n  # adj[n - v]: neighbours of vertex v
-    for i, j in A.edges:
-        adj[n - i] |= 1 << (n - j)
-        adj[n - j] |= 1 << (n - i)
+    for i in range(1, n):
+        # row i: the neighbours j > i of vertex i, at bits n - j
+        row = bits >> comb(n - i, 2) & ((1 << (n - i)) - 1)
+        adj[n - i] |= row
+        while row:
+            low = row & -row
+            adj[low.bit_length() - 1] |= 1 << (n - i)
+            row ^= low
     comps = []
     left = (1 << n) - 1
     while left:
@@ -239,12 +207,12 @@ def lie_closure(A: EdgeSet) -> EdgeSet:
     Two edges sharing a vertex bracket to the edge closing the triangle, so
     the closure is the union of cliques over the connected components.
     """
-    return _edge_set(A.n, _closure_bits(_components(A)))
+    return EdgeSet(A.n, _closure_bits(_components(A)))
 
 
 def is_maximal(A: EdgeSet) -> bool:
     """True when ``A`` equals its Lie closure."""
-    return _closure_bits(_components(A)) == _edge_bits(A)
+    return _closure_bits(_components(A)) == A.bits
 
 
 @dataclass(frozen=True, slots=True)
@@ -295,7 +263,7 @@ class Symmetry:
         union = 0
         for a in alphas:
             union |= a.mask
-        return cls(n, tuple(alphas), MultiIndex.from_mask(n, ((1 << n) - 1) & ~union))
+        return cls(n, tuple(alphas), MultiIndex(n, ((1 << n) - 1) & ~union))
 
     @classmethod
     def from_blocks(cls, n: int, blocks: Sequence[Sequence[int]]) -> "Symmetry":
@@ -314,10 +282,7 @@ class Symmetry:
 
     def edges(self) -> EdgeSet:
         """The maximal subset this symmetry decomposes: cliques on the blocks."""
-        return _edge_set(self.n, self.edge_bits())
-
-    def is_canonical(self) -> bool:
-        return list(self.alphas) == _canonical_order(self.alphas)
+        return EdgeSet(self.n, self.edge_bits())
 
     def canonical(self) -> "Symmetry":
         """Reorder equal-weight blocks by smallest contained index."""
@@ -339,11 +304,11 @@ def decompose(A: EdgeSet) -> Symmetry:
     silently altered.  The cliques on the returned blocks reproduce ``A``
     exactly.
     """
-    if not A.edges:
+    if not A.bits:
         raise EmptySymmetryError(f"no edges to decompose in dimension {A.n}")
     comps = _components(A)
-    if _closure_bits(comps) != _edge_bits(A):
+    if _closure_bits(comps) != A.bits:
         raise NotMaximalError(
             "edge set is not bracket-closed; apply lie_closure first")
-    blocks = [MultiIndex.from_mask(A.n, c) for c in comps if c.bit_count() >= 2]
+    blocks = [MultiIndex(A.n, c) for c in comps if c.bit_count() >= 2]
     return Symmetry.of(A.n, _canonical_order(blocks))

@@ -14,8 +14,6 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from spherebl import EdgeSet
-
 
 def rotation_matrix_generator(n: int, i: int, j: int) -> np.ndarray:
     """Matrix of the vector field rotating the (i, j) coordinate plane."""
@@ -50,14 +48,13 @@ class _Span:
         return True
 
 
-def bracket_closure_oracle(A: EdgeSet) -> EdgeSet:
-    """Edge set of the bracket-generated subalgebra, by brute force.
+def bracket_closure_oracle(n: int, edges) -> frozenset[tuple[int, int]]:
+    """Edges of the subalgebra that the rotations ``edges`` generate, by brute force.
 
     Grows a generating list of matrices, bracketing every pair until the
     span stops growing, then tests each basis rotation for membership.
     """
-    n = A.n
-    gens = [rotation_matrix_generator(n, i, j) for i, j in A.sorted_edges()]
+    gens = [rotation_matrix_generator(n, i, j) for i, j in sorted(set(edges))]
     span = _Span(n * n)
     work = []
     for g in gens:
@@ -73,12 +70,11 @@ def bracket_closure_oracle(A: EdgeSet) -> EdgeSet:
                     new.append(c)
         work.extend(new)
         frontier = new
-    closed = {
+    return frozenset(
         (i, j)
         for i, j in itertools.combinations(range(1, n + 1), 2)
         if span.contains(rotation_matrix_generator(n, i, j))
-    }
-    return EdgeSet(n, frozenset(closed))
+    )
 
 
 def ordered_block_assignments(n: int, lengths: tuple[int, ...]) -> set:

@@ -15,6 +15,7 @@ from spherebl import (
     balanced_exponent,
     balanced_local_delta,
     balanced_types_upto,
+    complete_edges,
     critical_gamma,
     decompose,
     edge_membership_count,
@@ -127,7 +128,7 @@ class TestFamilyExponents:
         assert uniform_exponent(fams) == 1
 
     def test_degenerate_full_graph(self):
-        full = decompose(EdgeSet.full(4))
+        full = decompose(EdgeSet.of(4, complete_edges(4)))
         with pytest.raises(DegenerateFamilyError):
             uniform_exponent([full])
         with pytest.raises(DegenerateFamilyError):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -122,7 +123,7 @@ class TestDeterminism:
     def test_seed_changes_value(self):
         f = Integrand(4, lambda p: np.exp(p[:, 0] * p[:, 1]))
         a = integrate(f, CFG)
-        b = integrate(f, CFG.with_seed(92))
+        b = integrate(f, dataclasses.replace(CFG, seed=92))
         assert a.value != b.value
 
     def test_shard_count_agreement(self):
@@ -306,7 +307,7 @@ class TestBallReduced:
 
     def test_requires_proper_block(self):
         with pytest.raises(ValueError):
-            ball_reduced_integral(constant_integrand(3), MultiIndex.ones(3), CFG)
+            ball_reduced_integral(constant_integrand(3), MultiIndex(3, 0b111), CFG)
 
     def test_ball_volume(self):
         assert ball_volume(2) == pytest.approx(math.pi)

@@ -11,6 +11,7 @@ from spherebl import (
     MultiIndex,
     NotMaximalError,
     Symmetry,
+    complete_edges,
     decompose,
     is_maximal,
     lie_closure,
@@ -24,19 +25,9 @@ def mi(n, *support):
 
 
 class TestMultiIndex:
-    def test_orthogonal_disjoint(self):
-        assert MultiIndex(4, (1, 1, 0, 0)).dot(MultiIndex(4, (0, 0, 1, 1))) == 0
-
-    def test_orthogonal_shared_index(self):
-        assert MultiIndex(4, (1, 1, 0, 0)).dot(MultiIndex(4, (0, 1, 1, 0))) == 1
-
-    def test_orthogonal_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            MultiIndex(4, (1, 1, 0, 0)).dot(MultiIndex(5, (1, 1, 0, 0, 0)))
-
     def test_complement(self):
-        assert MultiIndex(4, (1, 0, 1, 0)).complement().bits == (0, 1, 0, 1)
-        assert MultiIndex(4, (1, 1, 1, 1)).complement().bits == (0, 0, 0, 0)
+        assert MultiIndex(4, 0b1010).complement().bits == (0, 1, 0, 1)
+        assert MultiIndex(4, 0b1111).complement().bits == (0, 0, 0, 0)
 
     def test_weight_and_support(self):
         a = mi(5, 2, 4)
@@ -44,20 +35,17 @@ class TestMultiIndex:
         assert a.support() == (2, 4)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            MultiIndex(4, (1, 0, 2, 0))
-        with pytest.raises(ValueError):
-            MultiIndex(4, (1, 0, 0))
-        with pytest.raises(ValueError):
-            MultiIndex(2, (1, 0))
+        for n, mask in [(4, 0b10000), (4, -1), (2, 0b10)]:
+            with pytest.raises(ValueError):
+                MultiIndex(n, mask)
 
     @given(st.integers(3, 10).flatmap(
-        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, 1), min_size=n, max_size=n))))
+        lambda n: st.tuples(st.just(n), st.integers(0, 2**n - 1))))
     def test_complement_involution(self, case):
-        n, bits = case
-        a = MultiIndex(n, tuple(bits))
+        n, mask = case
+        a = MultiIndex(n, mask)
         assert a.complement().complement() == a
-        assert a.dot(a.complement()) == 0
+        assert a.mask & a.complement().mask == 0
 
 
 class TestEdgeSet:
@@ -68,10 +56,25 @@ class TestEdgeSet:
             EdgeSet.of(4, [(0, 1)])
         with pytest.raises(ValueError):
             EdgeSet.of(4, [(1, 5)])
+        for n, bits in [(4, 1 << 6), (4, -1), (2, 0)]:
+            with pytest.raises(ValueError):
+                EdgeSet(n, bits)
 
     def test_set_semantics(self):
         a = EdgeSet.of(4, [(1, 2), (1, 2), (3, 4)])
         assert len(a) == 2
+
+    def test_bit_layout(self):
+        assert [EdgeSet.of(4, [e]).bits for e in complete_edges(4)] == [32, 16, 8, 4, 2, 1]
+
+    def test_matches_frozenset_reference_exhaustive_n4(self):
+        pairs = complete_edges(4)
+        for mask in range(2 ** len(pairs)):
+            ref = frozenset(e for k, e in enumerate(pairs) if mask >> k & 1)
+            a = EdgeSet.of(4, ref)
+            assert (len(a), a.edges, a.sorted_edges()) == (len(ref), ref, sorted(ref))
+            assert all((e in a) == (e in ref) for e in pairs + [(2, 1), (0, 1), (4, 5)])
+            assert EdgeSet.of(4, a.sorted_edges()) == a
 
     def test_json_round_trip(self):
         a = EdgeSet.of(5, [(1, 3), (2, 5)])
@@ -88,12 +91,12 @@ class TestLieClosure:
         assert lie_closure(a) == a
 
     def test_empty(self):
-        assert lie_closure(EdgeSet.empty(4)) == EdgeSet.empty(4)
+        assert lie_closure(EdgeSet.of(4, [])) == EdgeSet.of(4, [])
 
     def test_maximality(self):
         assert is_maximal(EdgeSet.of(4, [(1, 2), (3, 4)]))
         assert not is_maximal(EdgeSet.of(4, [(1, 2), (2, 3)]))
-        assert is_maximal(EdgeSet.full(5))
+        assert is_maximal(EdgeSet.of(5, complete_edges(5)))
 
     def test_idempotent_and_monotone_exhaustive_n4(self):
         edges = list(itertools.combinations(range(1, 5), 2))
@@ -106,15 +109,28 @@ class TestLieClosure:
     def test_matches_bracket_oracle_exhaustive_n4(self):
         edges = list(itertools.combinations(range(1, 5), 2))
         for mask in range(2 ** len(edges)):
-            a = EdgeSet.of(4, [e for k, e in enumerate(edges) if mask >> k & 1])
-            assert lie_closure(a) == bracket_closure_oracle(a)
+            a = [e for k, e in enumerate(edges) if mask >> k & 1]
+            assert lie_closure(EdgeSet.of(4, a)).edges == bracket_closure_oracle(4, a)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.sampled_from(list(itertools.combinations(range(1, 6), 2))),
                     max_size=10))
     def test_matches_bracket_oracle_random_n5(self, pairs):
-        a = EdgeSet.of(5, pairs)
-        assert lie_closure(a) == bracket_closure_oracle(a)
+        assert lie_closure(EdgeSet.of(5, pairs)).edges == bracket_closure_oracle(5, pairs)
+
+    def test_at_max_dimension(self):
+        # n = MAX_DIMENSION = 64: edge sets of 2,016 bits
+        path = EdgeSet.of(64, [(i, i + 1) for i in range(1, 64)])
+        assert lie_closure(path) == EdgeSet.of(64, complete_edges(64))
+        assert len(lie_closure(path)) == 2016 and not is_maximal(path)
+        pairs = [(1, 64), (63, 64)]
+        a, closed = EdgeSet.of(64, pairs), lie_closure(EdgeSet.of(64, pairs))
+        assert closed.edges == bracket_closure_oracle(64, pairs)
+        assert closed.sorted_edges() == [(1, 63), (1, 64), (63, 64)]
+        assert is_maximal(closed) and is_maximal(lie_closure(path)) and not is_maximal(a)
+        s = decompose(closed)
+        assert s.blocks() == ((1, 63, 64),) and s.r_mask.weight == 61
+        assert s.edges() == closed
 
 
 class TestDecompose:
@@ -139,7 +155,7 @@ class TestDecompose:
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySymmetryError):
-            decompose(EdgeSet.empty(4))
+            decompose(EdgeSet.of(4, []))
 
     def test_sorting_weight_then_index(self):
         # component {3,4,5} is bigger than {1,2}; equal weights tie-break by index
@@ -187,6 +203,6 @@ class TestSymmetry:
 
     def test_non_canonical_order_allowed(self):
         s = Symmetry.of(4, [mi(4, 3, 4), mi(4, 1, 2)])
-        assert not s.is_canonical()
+        assert s.canonical() != s
         assert s.canonical().blocks() == ((1, 2), (3, 4))
         assert s.canonical().edges() == s.edges()
