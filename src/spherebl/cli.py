@@ -18,6 +18,8 @@ import functools
 import itertools
 import json
 import math
+import operator
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -71,7 +73,7 @@ class Scenario:
 @dataclass(frozen=True)
 class RunRecord:
     """Self-describing result envelope written by every run; ``results``
-    holds the result objects, which :func:`_encode` turns into JSON values."""
+    holds the result objects, which :func:`_write_json` writes as JSON."""
 
     scenario: Scenario
     tool_version: str
@@ -81,46 +83,81 @@ class RunRecord:
     passed: bool | None
 
 
-# --- record encoding ----------------------------------------------------------
+# --- record writing -------------------------------------------------------------
 
-#: The two wire keys that differ from their field names: ``Symmetry.r_mask``
-#: is written as ``r``, and the experiment reports lead with their kind.
+#: Objects whose members are not their fields: an ``EdgeSet`` is
+#: ``{"n", "edges"}`` with its sorted [i, j] pairs, a ``Fraction`` ``{"num", "den"}``.
+#: Any other dataclass is an object of its fields in declaration order, with
+#: ``Symmetry.r_mask`` written as ``r`` and the experiment reports after their kind.
+_OBJECTS = {EdgeSet: {"n": operator.attrgetter("n"), "edges": EdgeSet.sorted_edges},
+            Fraction: {"num": operator.attrgetter("numerator"),
+                       "den": operator.attrgetter("denominator")}}
 _RENAMED = {"r_mask": "r"}
 _KIND = {DivergenceReport: "divergence", NormScanReport: "scan", GrowthReport: "growth"}
+_quote = json.encoder.encode_basestring_ascii  # a string as ensure_ascii writes it
 
 
 @functools.cache
-def _wire_fields(cls: type) -> tuple[tuple[str, str], ...]:
-    return tuple((f.name, _RENAMED.get(f.name, f.name)) for f in dataclasses.fields(cls))
+def _wire_fields(cls: type) -> tuple[tuple[str, Callable[[Any], Any]], ...]:
+    """The ``"key": `` text and the getter of each member of an object of ``cls``."""
+    members = _OBJECTS.get(cls) or {_RENAMED.get(f.name, f.name): operator.attrgetter(f.name)
+                                    for f in dataclasses.fields(cls)}  # TypeError: no form
+    kind = {"kind": lambda _: _KIND[cls]} if cls in _KIND else {}
+    return tuple((_key(key), get) for key, get in {**kind, **members}.items())
 
 
-def _encode(value: Any) -> Any:
-    """The plain JSON values of a result, built eagerly for ``json.dump``.
+def _scalar(value: Any) -> str | None:
+    """The JSON text of a str, None, bool, int or float, with ``json``'s NaN
+    and Infinity; None for any other value."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+    return None
 
-    Dicts, lists and tuples are walked; a ``MultiIndex`` becomes its 0/1
-    list, an ``EdgeSet`` ``{"n", "edges"}`` with its sorted [i, j] pairs, a
-    ``Fraction`` ``{"num", "den"}`` and a dataclass a dict of its fields in
-    declaration order.
-    """
-    if isinstance(value, MultiIndex):  # the most frequent value of a record
-        return list(value.bits)
-    if isinstance(value, (str, int, float, type(None))):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _encode(v) for k, v in value.items()}
-    if isinstance(value, EdgeSet):
-        return {"n": value.n, "edges": [list(e) for e in value.sorted_edges()]}
-    if dataclasses.is_dataclass(value):
-        cls = type(value)
-        out = {"kind": _KIND[cls]} if cls in _KIND else {}
-        for name, key in _wire_fields(cls):
-            out[key] = _encode(getattr(value, name))
-        return out
-    if isinstance(value, Fraction):
-        return {"num": value.numerator, "den": value.denominator}
-    raise TypeError(f"no JSON form for {type(value).__name__}")
+
+def _key(key: Any) -> str:
+    """The ``"key": `` text of a dict key: ``json`` writes a str, int, float,
+    bool or None key as a string, and any other key is a TypeError."""
+    return _quote(key if isinstance(key, str) else _scalar(key)) + ": "
+
+
+@functools.lru_cache(maxsize=4096)  # the blocks of a family repeat across its members
+def _row(n: int, mask: int, pad: str) -> str:
+    """The 0/1 list of ``MultiIndex(n, mask)``, one digit a line, closed at ``pad``."""
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(format(mask, f"0{n}b")) + pad + "]"
+
+
+def _write_json(value: Any, write: Callable[[str], Any]) -> None:
+    """Write a result as JSON in one walk, byte for byte as ``json.dump(...,
+    indent=2)`` writes its plain values (a ``MultiIndex`` is its 0/1 list)."""
+    def walk(value: Any, pad: str) -> None:
+        if isinstance(value, MultiIndex):  # the most frequent value of a record
+            write(_row(value.n, value.mask, pad))
+        elif (text := _scalar(value)) is not None:
+            write(text)
+        elif isinstance(value, (list, tuple)):
+            members("[]", zip(itertools.repeat(""), value), pad)
+        elif isinstance(value, dict):
+            members("{}", [(_key(k), v) for k, v in value.items()], pad)
+        else:
+            members("{}", [(key, get(value)) for key, get in _wire_fields(type(value))], pad)
+
+    def members(brackets: str, pairs: Iterable[tuple[str, Any]], pad: str) -> None:
+        inner, lead = pad + "  ", brackets[0]
+        for key, item in pairs:
+            write(lead + inner + key)
+            walk(item, inner)
+            lead = ","
+        write(brackets if lead != "," else pad + brackets[1])
+
+    walk(value, "\n")
 
 
 # --- field parsers --------------------------------------------------------------
@@ -451,7 +488,8 @@ _MEMBERS = frozenset({"type", "families"})
 _MODES = {
     "decompose": _Mode(
         {"n": _dimension, "edges": _pairs, "close": _flag}, _run_decompose,
-        lambda symmetry, **_: "blocks {alphas} free {r}".format(**_encode(symmetry)),
+        lambda symmetry, **_: (f"blocks {[list(a.bits) for a in symmetry.alphas]} "
+                               f"free {list(symmetry.r_mask.bits)}"),
         required=("n", "edges"),
         flags={"close": "apply the Lie closure before decomposing"}),
     "exponents": _Mode(
@@ -609,13 +647,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.csv:
             emit_csv(record, args.csv)
         if args.json:
-            json.dump(_encode(record), sys.stdout, indent=2)
+            _write_json(record, sys.stdout.write)
             sys.stdout.write("\n")
         else:
             print(f"{args.mode}: {_MODES[args.mode].summary(**record.results)}")
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
         return 2 if record.passed is False else 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError as exc:  # the reader closed stdout: quiet the exit-time flush
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: stdout: {exc.strerror}", file=sys.stderr)
         return 1
 
 

@@ -133,10 +133,6 @@ class EdgeSet:
             bits |= 1 << (comb(n - i, 2) + n - j)
         return cls(n, bits)
 
-    @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.sorted_edges())
-
     def __contains__(self, edge) -> bool:
         (i, j), n = edge, self.n
         return 1 <= i < j <= n and self.bits >> (comb(n - i, 2) + n - j) & 1 == 1

@@ -2,17 +2,27 @@
 
 Nothing here reuses the library's algorithms: the Lie closure oracle works
 with actual matrix brackets and linear spans, the enumeration oracle walks
-permutations, and the 1-d oracles integrate profiles with adaptive
-quadrature.  Values frozen into tests were produced by these routines.
+permutations, the 1-d oracles integrate profiles with adaptive
+quadrature, and the record oracle builds plain values for ``json.dumps``.
+Values frozen into tests were produced by these routines.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import io
 import itertools
+import json
 import math
+from fractions import Fraction
+from typing import Any
 
 import numpy as np
 from scipy.integrate import quad
+
+from spherebl.cli import _write_json
+from spherebl.extremal import DivergenceReport, GrowthReport, NormScanReport
+from spherebl.symmetry import EdgeSet, MultiIndex
 
 
 def rotation_matrix_generator(n: int, i: int, j: int) -> np.ndarray:
@@ -172,3 +182,49 @@ def truncated_extremal_norm_p(gamma: float, p: float, eps: float) -> float:
 def radial_lower_bound_exponent(n: int, gamma: float, bracket: int) -> float:
     """Exponent of rho in int rho^(n-2-gamma*B) (1-rho^2)^(-1/2) drho."""
     return n - 2 - gamma * bracket
+
+
+_RECORD_KIND = {DivergenceReport: "divergence", NormScanReport: "scan", GrowthReport: "growth"}
+
+
+def record_values(value: Any) -> Any:
+    """The plain JSON values of a result, built eagerly (the record encoder
+    that the one-pass writer replaced).
+
+    Dicts, lists and tuples are walked; a ``MultiIndex`` becomes its 0/1
+    list, an ``EdgeSet`` ``{"n", "edges"}`` with its sorted [i, j] pairs, a
+    ``Fraction`` ``{"num", "den"}`` and a dataclass a dict of its fields in
+    declaration order (``Symmetry.r_mask`` as ``r``, the experiment reports
+    after their ``kind``).
+    """
+    if isinstance(value, MultiIndex):
+        return list(value.bits)
+    if isinstance(value, (str, int, float, type(None))):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [record_values(v) for v in value]
+    if isinstance(value, dict):
+        return {k: record_values(v) for k, v in value.items()}
+    if isinstance(value, EdgeSet):
+        return {"n": value.n, "edges": [list(e) for e in value.sorted_edges()]}
+    if dataclasses.is_dataclass(value):
+        cls = type(value)
+        out = {"kind": _RECORD_KIND[cls]} if cls in _RECORD_KIND else {}
+        for f in dataclasses.fields(cls):
+            out["r" if f.name == "r_mask" else f.name] = record_values(getattr(value, f.name))
+        return out
+    if isinstance(value, Fraction):
+        return {"num": value.numerator, "den": value.denominator}
+    raise TypeError(f"no JSON form for {type(value).__name__}")
+
+
+def record_json(value: Any) -> str:
+    """The reference bytes of a result: ``json.dumps(..., indent=2)``."""
+    return json.dumps(record_values(value), indent=2)
+
+
+def written(value: Any) -> str:
+    """What the CLI's record writer writes for ``value``."""
+    buf = io.StringIO()
+    _write_json(value, buf.write)
+    return buf.getvalue()

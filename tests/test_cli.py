@@ -13,15 +13,17 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from spherebl.cli import Scenario, _encode, emit_csv, main, run
+from spherebl.cli import Scenario, emit_csv, main, run
 from spherebl.errors import InputError
 from spherebl.exponents import BalancedType, ExponentReport
 from spherebl.extremal import DivergenceReport, GrowthReport, NormScanReport
 from spherebl.quadrature import Estimate, VerificationRecord
 from spherebl.symmetry import EdgeSet, Symmetry
+from oracles import record_json, written
 
 
 def write(tmp_path, name, payload):
@@ -42,6 +44,12 @@ class TestDecompose:
         assert record["results"]["symmetry"]["alphas"] == [[1, 1, 0, 0], [0, 0, 1, 1]]
         assert record["results"]["symmetry"]["r"] == [0, 0, 0, 0]
         assert record["rng_algorithm"]
+
+    def test_summary_line(self, tmp_path, capsys):
+        path = write(tmp_path, "s.json", {"n": 5, "edges": [[1, 2], [3, 5]]})
+        assert main(["decompose", path]) == 0
+        assert capsys.readouterr().out == (
+            "decompose: blocks [[1, 1, 0, 0, 0], [0, 0, 1, 0, 1]] free [0, 0, 0, 1, 0]\n")
 
     def test_malformed_edge_order(self, tmp_path, capsys):
         path = write(tmp_path, "s.json", {"n": 4, "edges": [[2, 1]]})
@@ -274,10 +282,11 @@ class TestRunAndRecord:
 
     def test_record_embeds_scenario(self):
         record = run(Scenario(mode="exponents", payload={"n": 3, "lengths": [2]}))
-        d = _encode(record)
+        text = written(record)
+        d = json.loads(text)
         assert d["scenario"]["payload"] == {"n": 3, "lengths": [2]}
         assert d["tool_version"]
-        assert json.loads(json.dumps(d)) == d  # JSON-serialisable round trip
+        assert json.dumps(d, indent=2) == text  # JSON round trip, bytes included
 
     def test_csv_rejected_without_series(self, tmp_path):
         record = run(Scenario(mode="exponents", payload={"n": 3, "lengths": [2]}))
@@ -414,7 +423,7 @@ class TestRecordEncoder:
     @pytest.mark.parametrize("case", list(CASES))
     def test_record_bytes(self, case):
         value, expected = self.CASES[case]
-        assert json.dumps(_encode(value), indent=2) == json.dumps(expected, indent=2)
+        assert written(value) == json.dumps(expected, indent=2)
 
 
 class TestScenarioValues:
@@ -651,6 +660,84 @@ class TestUnknownFields:
         with pytest.raises(SystemExit) as exc:
             main([flag])
         assert exc.value.code == 0
+
+
+class TestRecordWriter:
+    """The one-pass writer against ``json.dumps(..., indent=2)`` of the eagerly
+    built values (``oracles.record_json``), byte for byte."""
+
+    QUAD = {"samples": 1000, "seed": 1, "shards": 2}
+    RECORDS = {
+        "decompose": ("decompose", {"n": 5, "edges": [[1, 2], [2, 3], [4, 5]], "close": True}),
+        "exponents": ("exponents", {"n": 6, "lengths": [3, 2]}),
+        "exponents-family": ("exponents", [{"n": 4, "edges": [[1, 2]]},
+                                           {"n": 4, "edges": [[3, 4], [1, 3], [1, 4]]}]),
+        "enumerate": ("enumerate", {"n": 5, "lengths": [2, 2]}),
+        "enumerate-classes": ("enumerate", {"n": 7, "lengths": [3, 2, 2], "classes": True}),
+        "identities": ("identities", {"n_max": 6}),
+        "verify-holder": ("verify-holder", {"type": {"n": 4, "lengths": [2]}, "count": 2,
+                                            "quad": QUAD}),
+        "verify-sharpness": ("verify-sharpness", {"type": {"n": 3, "lengths": [2]}, "p": 1.8,
+                                                  "gamma": 0.5, "quad": QUAD}),
+        "verify-local": ("verify-local", {"type": {"n": 3, "lengths": [2]}, "eta": 0.1,
+                                          "quad": QUAD}),
+    }
+    WALL_TIME = re.compile(r'"wall_time_s": [^,\n]*')
+
+    @pytest.mark.parametrize("case", list(RECORDS))
+    def test_record_of_every_mode(self, case, tmp_path, capsys):
+        mode, payload = self.RECORDS[case]
+        record = run(Scenario(mode, copy.deepcopy(payload)))
+        assert written(record) == record_json(record)
+        main([mode, write(tmp_path, "s.json", payload), "--json"])
+        out = self.WALL_TIME.sub("", capsys.readouterr().out)
+        assert out == self.WALL_TIME.sub("", record_json(record)) + "\n"
+
+    VALUES = {
+        "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "-0.0": -0.0, "1e300": 1e300,
+        "float-subclass": np.float64(0.1), "big-int": -(3 ** 200), "true": True,
+        "false": False, "none": None, "empty": [(), [], {}, [[], {}], {"a": ()}],
+        "fraction": Fraction(-22, 7), "no-edges": EdgeSet(6, 0),
+        "non-ascii": "\u00e9t\u00e9 \u2603 \U0001d11e \"q\" \\ \n\t\x00\x7f",
+        "kind": NormScanReport(
+            eps_grid=(0.5, 0.25), lhs=(est(math.inf, math.nan, 5),) * 2, fit_model="power",
+            slope=-math.inf, slope_stderr=-0.0, classification="", gamma=1e-300, p=2.0),
+        "nested": {"s": Symmetry.from_blocks(5, [(1, 4), (2, 5)]),
+                   "deep": [[[Symmetry.from_blocks(3, [(1, 3)]).r_mask]]]},
+        "non-str-keys": {7: "int", 2.5: "float", False: "bool", None: "null",
+                         math.nan: "nan", -math.inf: "-inf", 10 ** 30: "big"},
+    }
+
+    @pytest.mark.parametrize("case", list(VALUES))
+    def test_value_bytes(self, case):
+        assert written(self.VALUES[case]) == record_json(self.VALUES[case])
+
+    @pytest.mark.parametrize("value", [{(1, 2): 3}, {Fraction(1, 2): 0}, object(),
+                                       [1, {2, 3}]])
+    def test_no_json_form_is_a_type_error(self, value):
+        with pytest.raises(TypeError):
+            record_json(value)
+        with pytest.raises(TypeError):
+            written(value)
+
+    @pytest.mark.parametrize("payload, lines", [
+        ({"n": 9, "lengths": [3, 3, 2], "classes": True}, 2),  # 4 MB, far beyond a pipe
+        ({"n": 3, "lengths": [2]}, 0),  # closed before the record leaves the buffer
+    ])
+    def test_closed_stdout_ends_without_a_traceback(self, tmp_path, payload, lines):
+        root = Path(__file__).resolve().parent.parent
+        path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as by default
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "spherebl.cli", "enumerate",
+             write(tmp_path, "s.json", payload), "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        head = [proc.stdout.readline() for _ in range(lines)]
+        assert head == [b"{\n", b'  "scenario": {\n'][:lines]
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (1, b"error: stdout: Broken pipe\n")
 
 
 class TestWireFormat:

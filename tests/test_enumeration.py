@@ -57,7 +57,7 @@ def test_edge_balance():
     target = edge_membership_count(t)
     from spherebl import complete_edges
     for e in complete_edges(6):
-        assert sum(1 for s in fams if e in s.edges().edges) == target
+        assert sum(1 for s in fams if e in s.edges()) == target
 
 
 def test_classes_on_4():

@@ -27,12 +27,11 @@ from spherebl import (
     sample_sphere,
     sharpness_experiment,
 )
-from spherebl.cli import _encode
 from spherebl.errors import NonFiniteSampleError
 from spherebl.exponents import radial_bracket
 from spherebl.extremal import _extremal_kernel
 from spherebl.quadrature import _power_transform, _reduce
-from oracles import radial_lower_bound_exponent, truncated_extremal_norm_p
+from oracles import radial_lower_bound_exponent, truncated_extremal_norm_p, written
 
 CFG = QuadConfig(samples=200_000, seed=314, shards=4)
 
@@ -213,8 +212,9 @@ class TestSharpness:
         rep = sharpness_experiment(BalancedType(3, (2,)), p=1.8,
                                    cfg=QuadConfig(samples=100_000, seed=3, shards=2),
                                    eps_grid=[2.0 ** -k for k in range(3, 9)])
-        d = _encode(rep)
-        assert json.loads(json.dumps(d)) == d
+        text = written(rep)
+        d = json.loads(text)
+        assert json.dumps(d, indent=2) == text
         assert [e["value"] for e in d["lhs"]] == [e.value for e in rep.lhs]
 
     def test_holder_holds_along_divergent_family(self):
@@ -265,8 +265,9 @@ class TestLocalGrowth:
         rep = local_growth_experiment(fams, exps, eta=0.2,
                                       r_grid=[1.0, 2.0, 4.0, 8.0, 16.0],
                                       cfg=QuadConfig(samples=10_000, seed=4, shards=2))
-        d = _encode(rep)
-        assert json.loads(json.dumps(d)) == d
+        text = written(rep)
+        d = json.loads(text)
+        assert json.dumps(d, indent=2) == text
         assert [e["value"] for e in d["lhs"]] == [e.value for e in rep.lhs]
 
 

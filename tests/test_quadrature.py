@@ -31,6 +31,7 @@ from spherebl import (
     random_block_invariants,
     sample_sphere,
 )
+from oracles import written
 
 CFG = QuadConfig(samples=200_000, seed=91, shards=4)
 
@@ -472,12 +473,12 @@ class TestHolder:
             assert norm.value == pytest.approx(alone.value ** (1 / p), rel=1e-12)
 
     def test_record_round_trip(self):
-        from spherebl.cli import _encode
         fams = enumerate_symmetries(BalancedType(3, (2,)))
         fs = [constant_integrand(3, 2.0, tag=s) for s in fams]
         rec = holder_verify(fams, fs, [2.0] * 3, CFG)
-        d = _encode(rec)
-        assert json.loads(json.dumps(d)) == d
+        text = written(rec)
+        d = json.loads(text)
+        assert json.dumps(d, indent=2) == text
         assert [e["value"] for e in d["norms"]] == [e.value for e in rec.norms]
 
 

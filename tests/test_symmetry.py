@@ -16,8 +16,7 @@ from spherebl import (
     is_maximal,
     lie_closure,
 )
-from spherebl.cli import _encode
-from oracles import bracket_closure_oracle
+from oracles import bracket_closure_oracle, written
 
 
 def mi(n, *support):
@@ -72,13 +71,13 @@ class TestEdgeSet:
         for mask in range(2 ** len(pairs)):
             ref = frozenset(e for k, e in enumerate(pairs) if mask >> k & 1)
             a = EdgeSet.of(4, ref)
-            assert (len(a), a.edges, a.sorted_edges()) == (len(ref), ref, sorted(ref))
+            assert (len(a), a.sorted_edges()) == (len(ref), sorted(ref))
             assert all((e in a) == (e in ref) for e in pairs + [(2, 1), (0, 1), (4, 5)])
             assert EdgeSet.of(4, a.sorted_edges()) == a
 
     def test_json_round_trip(self):
         a = EdgeSet.of(5, [(1, 3), (2, 5)])
-        assert EdgeSet.of(**json.loads(json.dumps(_encode(a)))) == a
+        assert EdgeSet.of(**json.loads(written(a))) == a
 
 
 class TestLieClosure:
@@ -103,20 +102,22 @@ class TestLieClosure:
         for mask in range(2 ** len(edges)):
             a = EdgeSet.of(4, [e for k, e in enumerate(edges) if mask >> k & 1])
             c = lie_closure(a)
-            assert a.edges <= c.edges
+            assert a.bits | c.bits == c.bits
             assert lie_closure(c) == c
 
     def test_matches_bracket_oracle_exhaustive_n4(self):
         edges = list(itertools.combinations(range(1, 5), 2))
         for mask in range(2 ** len(edges)):
             a = [e for k, e in enumerate(edges) if mask >> k & 1]
-            assert lie_closure(EdgeSet.of(4, a)).edges == bracket_closure_oracle(4, a)
+            assert lie_closure(EdgeSet.of(4, a)).sorted_edges() == sorted(
+                bracket_closure_oracle(4, a))
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.sampled_from(list(itertools.combinations(range(1, 6), 2))),
                     max_size=10))
     def test_matches_bracket_oracle_random_n5(self, pairs):
-        assert lie_closure(EdgeSet.of(5, pairs)).edges == bracket_closure_oracle(5, pairs)
+        assert lie_closure(EdgeSet.of(5, pairs)).sorted_edges() == sorted(
+            bracket_closure_oracle(5, pairs))
 
     def test_at_max_dimension(self):
         # n = MAX_DIMENSION = 64: edge sets of 2,016 bits
@@ -125,7 +126,7 @@ class TestLieClosure:
         assert len(lie_closure(path)) == 2016 and not is_maximal(path)
         pairs = [(1, 64), (63, 64)]
         a, closed = EdgeSet.of(64, pairs), lie_closure(EdgeSet.of(64, pairs))
-        assert closed.edges == bracket_closure_oracle(64, pairs)
+        assert closed.sorted_edges() == sorted(bracket_closure_oracle(64, pairs))
         assert closed.sorted_edges() == [(1, 63), (1, 64), (63, 64)]
         assert is_maximal(closed) and is_maximal(lie_closure(path)) and not is_maximal(a)
         s = decompose(closed)
