@@ -24,23 +24,23 @@ points, so over a dyadic grid about a quarter of the (eps, point) pairs
 see a floor act.  One kernel therefore evaluates a whole eps grid as a
 base row, the values under the smallest floor, plus the values at the
 pairs where a larger floor acts; every other value of the grid equals
-the base value to the last bit, and the experiments raise the base row
-and the pairs to their power before they scatter them.  The kernel looks
-for pairs only at the active points, where some base lies below the
-largest floor (13% of the points of S^2 under the default floors, 2^-3
-down): one cheap pass over all points finds them, and the floor search
-and the pair bookkeeping run on them alone.  The experiments write their
-grid rows at the active points of any member only (a third of the points
-for the three members of type (3; 2)).  At every other point each level
-holds the base value, so the experiments reduce those points once, from
-the base rows, and the estimator merges that partial into the sums of
-every level.  Every grid point of an
-experiment is a value series of one estimator pass over one seeded
-sample stream (common random numbers), so grid series are exactly
-monotone where the integrand is, and a truncated norm that has converged
-stops changing to the last bit once eps drops below the sample
-resolution.  The local growth experiment likewise draws the unit ball once
-and evaluates every radius R on R times those points.
+the base value to the last bit.  The kernel looks for pairs only at the
+active points, where some base lies below the largest floor (13% of the
+points of S^2 under the default floors, 2^-3 down): one cheap pass over
+all points finds them, and the floor search and the pair bookkeeping run
+on them alone.  The sharpness run and the truncated norm scan share one
+eps-grid pass, :func:`_floor_series`, which raises the base rows and the
+pairs to their power and writes grid rows at the active points of any
+member only (a third of the points for the three members of type (3; 2)).
+At every other point each level holds the base value, so the pass reduces
+those points once, from the base rows, and the estimator merges that
+partial into the sums of every level.  Every grid point of an experiment
+is a value series of one estimator pass over one seeded sample stream
+(common random numbers), so grid series are exactly monotone where the
+integrand is, and a truncated norm that has converged stops changing to
+the last bit once eps drops below the sample resolution.  The local
+growth experiment likewise draws the unit ball once and evaluates every
+radius R on R times those points.
 
 The local growth experiment estimates the ball integral of a product of
 capped power profiles pulled back from the coordinate projections; its
@@ -116,9 +116,9 @@ def default_r_grid() -> list[float]:
 def _grid(values: Sequence[float], least: int, descending: bool) -> list[float]:
     """``values`` sorted; raises unless ``least`` or more, all distinct and
     positive, and, for a descending grid of truncation floors, all below
-    1/2.  The one owner of these rules: every experiment checks its grid
-    here before it samples, :class:`ExtremalParams` its floor, and the
-    command line every grid it has parsed."""
+    1/2 and normal floats.  The one owner of these rules: every experiment
+    checks its grid here before it samples, :class:`ExtremalParams` its
+    floor, and the command line every grid it has parsed."""
     grid = sorted((float(v) for v in values), reverse=descending)
     if len(set(grid)) < max(least, len(grid)):
         raise ValueError(f"need {least} or more grid points, all distinct")
@@ -126,6 +126,8 @@ def _grid(values: Sequence[float], least: int, descending: bool) -> list[float]:
         raise ValueError("grid values must be positive")
     if descending and not grid[0] < 0.5:
         raise ValueError("truncation floors must lie below 1/2")
+    if descending and grid[-1] < np.finfo(float).tiny:  # 1/eps overflows below
+        raise ValueError(f"truncation floors must be {np.finfo(float).tiny} or more")
     return grid
 
 
@@ -214,25 +216,61 @@ def _extremal_kernel(s: Symmetry, gamma: float, eps_grid: Sequence[float]):
     return ev
 
 
-def _split(rows: np.ndarray, parts, levels: int):
-    """Split the points of one chunk for a grid experiment's fill.
+def _floor_series(fams: Sequence[Symmetry], gamma: float, p: float,
+                  eps_grid: list[float], cfg: QuadConfig, product: bool):
+    """The one eps-grid pass of the experiments: per floor of ``eps_grid``,
+    the estimate of the integral of the product of the truncated extremal
+    functions of ``fams`` when ``product`` is set, then of each member's
+    p-th power, all from one estimator pass.  Its fill reduces once the
+    points where no member is active, whose values are the base rows at
+    every level, and writes each level's rows at the others.  The arguments
+    are trusted: every caller has checked them."""
+    kernels = [_extremal_kernel(s, gamma, eps_grid) for s in fams]
+    levels, lo = len(eps_grid), int(product)
+    width = lo + len(kernels)
 
-    ``parts`` are :func:`_extremal_kernel` results at the chunk's points,
-    and ``rows`` holds one base row per series of a grid level.  Returns a
-    mask of the points where some part is active; the column of each such
-    point among them, in point order (meaningless elsewhere); and the
-    (count, sums, M2) of ``rows`` at the other points, where no floor acts,
-    repeated for each of the ``levels`` grid levels, as the engine takes
-    it from a fill (see :func:`spherebl.quadrature.mc_sphere_estimates`).
-    """
-    active = np.zeros(rows.shape[1], dtype=bool)
-    for part in parts:
-        active[part[4]] = True
-    col = np.empty(len(active), dtype=np.intp)
-    cols = np.flatnonzero(active)
-    col[cols] = np.arange(len(cols))
-    count, sums, m2 = _reduce(np.compress(~active, rows, axis=1))
-    return active, col, (count, np.tile(sums, levels), np.tile(m2, levels))
+    def fill(pts: np.ndarray, out: np.ndarray):
+        m = len(pts)
+        parts = [k(pts) for k in kernels]
+        # the base rows: the product of the member bases, in member order,
+        # and the p-th power of each
+        bases = np.empty((width, m))
+        if product:
+            bases[0] = parts[0][0]
+            for part in parts[1:]:
+                bases[0] *= part[0]
+        for j, part in enumerate(parts):
+            np.power(part[0], p, out=bases[lo + j])
+        # the points where some member is active, and the column of each
+        # among them, in point order (meaningless elsewhere)
+        active = np.zeros(m, dtype=bool)
+        for part in parts:
+            active[part[4]] = True
+        cols = np.flatnonzero(active)
+        col = np.empty(m, dtype=np.intp)
+        col[cols] = np.arange(len(cols))
+        count, sums, m2 = _reduce(np.compress(~active, bases, axis=1))
+        lead = out.reshape(levels, width, m)[:, :, :len(cols)]
+        if product:
+            # the product at the active points, in member order: the first
+            # member's rows, then each later member's multiplied in, its base
+            # row everywhere but at its pairs
+            prod = lead[:, 0, :]
+            base, k_idx, p_idx, vals, _ = parts[0]
+            prod[...] = np.compress(active, base)
+            prod[k_idx, col[p_idx]] = vals
+            for base, k_idx, p_idx, vals, _ in parts[1:]:
+                at = prod[k_idx, col[p_idx]]
+                prod *= np.compress(active, base)
+                prod[k_idx, col[p_idx]] = at * vals
+        # p-th powers: the base powers, broadcast, and one of the pairs
+        lead[:, lo:, :] = np.compress(active, bases[lo:], axis=1)
+        for j, (_, k_idx, p_idx, vals, _) in enumerate(parts):
+            lead[k_idx, lo + j, col[p_idx]] = vals ** p
+        return count, np.tile(sums, levels), np.tile(m2, levels)
+
+    ests = mc_sphere_estimates(fams[0].n, cfg, fill, levels * width)
+    return [ests[k * width:(k + 1) * width] for k in range(levels)]
 
 
 def extremal_function(s: Symmetry, params: ExtremalParams) -> Integrand:
@@ -323,20 +361,7 @@ def norm_boundary_scan(s: Symmetry, gamma: float, p: float,
     eps_grid = _grid(eps_grid, 3, descending=True)
     _positive("p", p)
     _positive("gamma", gamma)
-    kernel = _extremal_kernel(s, gamma, eps_grid)
-
-    def fill(pts: np.ndarray, out: np.ndarray):
-        part = kernel(pts)
-        base, k_idx, p_idx, vals, _ = part
-        powers = (base ** p)[None]
-        active, col, rest = _split(powers, [part], len(eps_grid))
-        # every level's row at the active points: the base power, then the pairs'
-        lead = out[:, :len(pts) - rest[0]]
-        lead[...] = np.compress(active, powers, axis=1)
-        lead[k_idx, col[p_idx]] = vals ** p
-        return rest
-
-    raw = mc_sphere_estimates(s.n, cfg, fill, len(eps_grid))
+    raw = [row[0] for row in _floor_series([s], gamma, p, eps_grid, cfg, product=False)]
 
     log_case = abs(gamma * p - 1.0) < 1e-12
     if log_case:
@@ -442,44 +467,10 @@ def sharpness_experiment(t: BalancedType, p: float, cfg: QuadConfig,
                      descending=True)
     g = _sharpness_gamma(t, _positive("p", p), gamma)
 
-    fams = enumerate_symmetries(t, cap=cap)
-    kernels = [_extremal_kernel(s, g, eps_grid) for s in fams]
-    width = 1 + len(fams)
-
-    def fill(pts: np.ndarray, out: np.ndarray):
-        m = len(pts)
-        parts = [k(pts) for k in kernels]
-        # the base rows: the product of the member bases, in member order,
-        # and the p-th power of each
-        bases = np.empty((width, m))
-        bases[0] = parts[0][0]
-        for part in parts[1:]:
-            bases[0] *= part[0]
-        for j, part in enumerate(parts):
-            np.power(part[0], p, out=bases[1 + j])
-        active, col, rest = _split(bases, parts, len(eps_grid))
-        lead = out.reshape(len(eps_grid), width, m)[:, :, :m - rest[0]]
-        # the product at the active points, taken in member order: the first
-        # member's rows are written into it, and each later member's rows
-        # are multiplied in, its base row everywhere but at its pairs
-        prod = lead[:, 0, :]
-        base, k_idx, p_idx, vals, _ = parts[0]
-        prod[...] = np.compress(active, base)
-        prod[k_idx, col[p_idx]] = vals
-        for base, k_idx, p_idx, vals, _ in parts[1:]:
-            at = prod[k_idx, col[p_idx]]
-            prod *= np.compress(active, base)
-            prod[k_idx, col[p_idx]] = at * vals
-        # p-th powers: the base powers, broadcast, and one of the pairs
-        lead[:, 1:, :] = np.compress(active, bases[1:], axis=1)
-        for j, (_, k_idx, p_idx, vals, _) in enumerate(parts):
-            lead[k_idx, 1 + j, col[p_idx]] = vals ** p
-        return rest
-
-    ests = mc_sphere_estimates(t.n, cfg, fill, len(eps_grid) * width)
-    lhs = [ests[k * width] for k in range(len(eps_grid))]
-    norms = [tuple(_power_transform(e, p) for e in ests[k * width + 1:(k + 1) * width])
-             for k in range(len(eps_grid))]
+    series = _floor_series(enumerate_symmetries(t, cap=cap), g, p, eps_grid, cfg,
+                           product=True)
+    lhs = [row[0] for row in series]
+    norms = [tuple(_power_transform(e, p) for e in row[1:]) for row in series]
 
     last, prev = norms[-1], norms[-2]
     rel_change = max(

@@ -334,9 +334,10 @@ def mc_sphere_estimates(n: int, cfg: QuadConfig, fill,
     ``out`` and returns None, or it reduces some of the points itself: it
     returns their (count, sums, M2) as :func:`_reduce` gives them, one sum
     and one M2 per series, and writes the other m - count points, in any
-    order, into the leading columns ``out[:, :m - count]``.  The grid
-    experiments reduce this way the points where no floor acts, whose
-    values are the same at every grid point.  All series see the same
+    order, into the leading columns ``out[:, :m - count]``.  The one
+    eps-grid pass of the grid experiments (:mod:`spherebl.extremal`)
+    reduces this way the points where no floor acts, whose values are the
+    same at every grid point.  All series see the same
     points, which is what the paired grid experiments rely on.
     """
     if n < 2:

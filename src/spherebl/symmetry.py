@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 from typing import Iterable, Sequence
 
@@ -89,7 +88,7 @@ class MultiIndex:
 
     @property
     def bits(self) -> tuple[int, ...]:
-        return _bits(self.n, self.mask)
+        return tuple([self.mask >> k & 1 for k in range(self.n - 1, -1, -1)])
 
     @property
     def weight(self) -> int:
@@ -103,11 +102,6 @@ class MultiIndex:
 
     def complement(self) -> "MultiIndex":
         return MultiIndex(self.n, self.mask ^ ((1 << self.n) - 1))
-
-
-@lru_cache(maxsize=4096)  # the blocks of a family repeat across its members
-def _bits(n: int, mask: int) -> tuple[int, ...]:
-    return tuple([mask >> k & 1 for k in range(n - 1, -1, -1)])
 
 
 @dataclass(frozen=True, slots=True)

@@ -536,6 +536,10 @@ class TestScenarioValues:
         ("verify-sharpness", "*", {"p": 2.0, "gamma": None}, "p"),
         # a radius too large for the growth profile's powers
         ("verify-local", "r_grid", HUGE_R_GRID, "r_grid"),
+        # a subnormal truncation floor, whose reciprocal overflows
+        ("verify-sharpness", "eps_grid", [0.25, 0.125, 1e-320], "eps_grid"),
+        ("verify-holder", "functions", {"kind": "extremal", "gamma": 0.2, "trunc": 1e-320},
+         "functions"),
     ])
     def test_bad_value_is_input_error(self, tmp_path, capsys, mode, key, value, path):
         payload = dict(self.BASE[mode])

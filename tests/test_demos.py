@@ -1,4 +1,4 @@
-"""Every demo script runs to completion."""
+"""Every demo script runs to completion, and no numpy warning escapes it."""
 
 import os
 import subprocess
@@ -15,6 +15,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(demo):
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
-                          text=True, timeout=600)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                          env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

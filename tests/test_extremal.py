@@ -574,6 +574,19 @@ class TestFusedGrids:
         assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("t, gamma, p", [(BalancedType(3, (2,)), 0.5, 1.8),
+                                         (BalancedType(4, (2, 2)), 0.2, 3.0)])
+def test_scan_and_sharpness_agree_on_member_norms(t, gamma, p):
+    # both experiments run one eps-grid pass over the same points; only the
+    # chunk size, which follows the series count, differs between them
+    cfg = QuadConfig(samples=20_000, seed=7, shards=2)
+    rep = sharpness_experiment(t, p=p, cfg=cfg, eps_grid=FUSED_GRID, gamma=gamma)
+    for j, s in enumerate(enumerate_symmetries(t)):
+        scan = norm_boundary_scan(s, gamma=gamma, p=p, eps_grid=FUSED_GRID, cfg=cfg)
+        for k, est in enumerate(scan.lhs):
+            assert est.value ** (1 / p) == pytest.approx(rep.rhs_norms[k][j].value,
+                                                         rel=1e-12, abs=0)
+
 class TestSplitReduction:
     """The grid passes reduce the points where no floor acts apart from the
     others; the chunks where either set is empty are the edge cases."""
@@ -710,6 +723,8 @@ class TestGridContract:
         ([0.5, 0.1, 0.01], 0.5, "below 1/2"),
         ([0.1, 0.05, 0.01], 0.0, "gamma must be positive"),
         ([0.1, 0.05, 0.01], -0.5, "gamma must be positive"),
+        # a subnormal floor overflows 1/eps in the fit
+        ([0.25, 0.125, 1e-320], 0.5, "floors must be 2.2250738585072014e-308 or more"),
     ])
     def test_bad_floor_or_strength_rejected_before_sampling(self, no_estimator, kind,
                                                              grid, gamma, message):
