@@ -437,8 +437,6 @@ def _run_verify_holder(type=None, families=None, p=None, ps=None, count=1,
 
 def _run_verify_sharpness(type, p, gamma=None, eps_grid=_EPS_GRID, cap=DEFAULT_CAP,
                           quad=QuadConfig()):
-    if gamma is not None:
-        _at("gamma", extremal._positive, "gamma", gamma)
     _at("p", extremal._sharpness_gamma, type, p, gamma)  # raises unless gamma * p < 1
     try:
         report = sharpness_experiment(type, p, quad, eps_grid=eps_grid, gamma=gamma, cap=cap)
@@ -525,7 +523,7 @@ _MODES = {
         flags=_QUAD_FLAGS),
     "verify-sharpness": _Mode(
         {"type": _type, "p": _positive,
-         "gamma": lambda value, path: None if value is None else _number(value, path),
+         "gamma": lambda value, path: None if value is None else _positive(value, path),
          "eps_grid": _grid(_EPS_GRID, 3, descending=True),
          "cap": _bounded(1, integer=True), "quad": _quad},
         _run_verify_sharpness,

@@ -45,7 +45,6 @@ meaningful for the verification experiments.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -432,18 +431,13 @@ def _product_and_powers(out: np.ndarray, ps: Sequence[float]) -> None:
 
     On entry ``out[1 + j]`` holds the logarithm of function j's values.
     The product exp(sum_j log f_j) goes into ``out[0]``, and row 1 + j
-    becomes f_j^p_j = exp(p_j log f_j) in place, one call per run of equal
-    exponents.  This spares a scalar libm ``pow`` per value."""
+    becomes f_j^p_j = exp(p_j log f_j) in place, in one call for all rows.
+    This spares a scalar libm ``pow`` per value."""
     logs = out[1:]
     np.add.reduce(logs, axis=0, out=out[0])
     np.exp(out[0], out=out[0])
-    start = 0
-    for p, run in itertools.groupby(ps):
-        stop = start + len(list(run))
-        block = logs[start:stop]
-        block *= p
-        np.exp(block, out=block)
-        start = stop
+    logs *= np.asarray(ps)[:, None]
+    np.exp(logs, out=logs)
 
 
 def _holder_record(ests: Sequence[Estimate], ps: list[float],

@@ -12,10 +12,10 @@ cliques.
 
 A maximal subset is summarised by a ``Symmetry``: the 0/1 indicator
 vectors of its cliques of size >= 2 (the blocks, weakly decreasing in
-size) together with the indicator of the coordinates that belong to no
-block.  A smooth function on the sphere annihilated by the subset is
-invariant under rotations inside each block; it depends only on the block
-radii and the free coordinates.
+size).  The indicator of the coordinates that belong to no block, the
+free coordinates, is derived from the blocks.  A smooth function on the
+sphere annihilated by the subset is invariant under rotations inside each
+block; it depends only on the block radii and the free coordinates.
 
 Both objects are plain integer bitmasks, read most significant bit first:
 
@@ -39,7 +39,7 @@ public interface, matching the JSON wire format.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable, Sequence
 
@@ -209,9 +209,9 @@ def is_maximal(A: EdgeSet) -> bool:
 class Symmetry:
     """Block decomposition of a maximal subset.
 
-    ``alphas`` are the clique indicators, weights >= 2 and weakly
-    decreasing; ``r_mask`` marks the coordinates outside every block.  The
-    blocks are pairwise disjoint and ``alphas[0] + sum(alphas[1:]) +
+    ``alphas`` are the clique indicators: pairwise disjoint, weights >= 2
+    and weakly decreasing.  ``r_mask``, derived from the blocks, marks the
+    coordinates outside every block, so ``alphas[0] + sum(alphas[1:]) +
     r_mask`` covers every coordinate exactly once.
 
     Equal-weight blocks may appear in any order: ordered block assignments
@@ -223,7 +223,7 @@ class Symmetry:
 
     n: int
     alphas: tuple[MultiIndex, ...]
-    r_mask: MultiIndex
+    r_mask: MultiIndex = field(init=False)
 
     def __post_init__(self):
         _check_dimension(self.n)
@@ -245,20 +245,12 @@ class Symmetry:
             union |= a.mask
             last = weight
         # disjoint blocks inside n bits cover at most n coordinates
-        if self.r_mask.n != self.n or self.r_mask.mask != union ^ ((1 << self.n) - 1):
-            raise ValueError("r_mask inconsistent with the blocks")
-
-    @classmethod
-    def of(cls, n: int, alphas: Sequence[MultiIndex]) -> "Symmetry":
-        union = 0
-        for a in alphas:
-            union |= a.mask
-        return cls(n, tuple(alphas), MultiIndex(n, ((1 << n) - 1) & ~union))
+        object.__setattr__(self, "r_mask", MultiIndex(self.n, union ^ ((1 << self.n) - 1)))
 
     @classmethod
     def from_blocks(cls, n: int, blocks: Sequence[Sequence[int]]) -> "Symmetry":
         """Build from 1-based index blocks, given in the intended order."""
-        return cls.of(n, [MultiIndex.from_support(n, b) for b in blocks])
+        return cls(n, [MultiIndex.from_support(n, b) for b in blocks])
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         return tuple(a.support() for a in self.alphas)
@@ -276,7 +268,7 @@ class Symmetry:
 
     def canonical(self) -> "Symmetry":
         """Reorder equal-weight blocks by smallest contained index."""
-        return Symmetry(self.n, tuple(_canonical_order(self.alphas)), self.r_mask)
+        return Symmetry(self.n, _canonical_order(self.alphas))
 
 
 def _canonical_order(alphas: Iterable[MultiIndex]) -> list[MultiIndex]:
@@ -301,4 +293,4 @@ def decompose(A: EdgeSet) -> Symmetry:
         raise NotMaximalError(
             "edge set is not bracket-closed; apply lie_closure first")
     blocks = [MultiIndex(A.n, c) for c in comps if c.bit_count() >= 2]
-    return Symmetry.of(A.n, _canonical_order(blocks))
+    return Symmetry(A.n, _canonical_order(blocks))

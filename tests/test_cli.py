@@ -558,6 +558,17 @@ class TestScenarioValues:
             assert err == (f"error: r_grid: the ball volume at radius {2.0 ** 341} "
                            "exceeds the float range\n")
 
+    def test_bad_gamma_is_reported_in_document_order(self, tmp_path, capsys):
+        # gamma is parsed in the field walk, so of two bad fields the first wins
+        base = {"type": {"n": 3, "lengths": [2]}, "p": 1.8}
+        for payload, path in [({**base, "gamma": -0.5, "eps_grid": [1, 2]}, "gamma"),
+                              ({**base, "eps_grid": [1, 2], "gamma": -0.5}, "eps_grid")]:
+            assert main(["verify-sharpness", write(tmp_path, "s.json", payload)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: ")
+        assert main(["verify-sharpness", write(tmp_path, "s.json", {**base, "gamma": 0})]) == 1
+        assert capsys.readouterr().err == "error: gamma: gamma must be positive\n"
+
     def test_null_functions_select_the_default(self, tmp_path, capsys):
         payload = dict(self.BASE["verify-holder"], functions=None)
         assert main(["verify-holder", write(tmp_path, "s.json", payload)]) == 0

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -420,6 +421,39 @@ class TestHolder:
         for a, b in zip(got, ref):
             assert a.value == pytest.approx(b.value, rel=1e-13, abs=0)
             assert a.stderr == pytest.approx(b.stderr, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("ps", [[5.5, 6, 5.5, 7.25, 9], [8, 5, 8, 5, 12.5],
+                                    [5, 5, 6, 6, 6]])
+    def test_powers_equal_the_per_run_loop(self, monkeypatch, ps):
+        # the reference raises each run of equal exponents in its own call
+        def per_run(out, ps):
+            logs = out[1:]
+            np.add.reduce(logs, axis=0, out=out[0])
+            np.exp(out[0], out=out[0])
+            start = 0
+            for p, run in itertools.groupby(ps):
+                stop = start + len(list(run))
+                block = logs[start:stop]
+                block *= p
+                np.exp(block, out=block)
+                start = stop
+
+        ps = [float(p) for p in ps]
+        fams = enumerate_symmetries(BalancedType(5, (2,)))[:5]
+        stack = random_block_invariants(fams, [11 + 3 * j for j in range(5)])
+        lengths = []
+
+        def fill(pts, out):
+            stack.fill(pts, out[1:])
+            ref = out.copy()
+            per_run(ref, ps)
+            quadrature._product_and_powers(out, ps)
+            assert out.tobytes() == ref.tobytes()
+            lengths.append(len(pts))
+
+        monkeypatch.setattr(quadrature, "_CHUNK_BUDGET", 1)  # chunks of 1024 points
+        mc_sphere_estimates(5, QuadConfig(samples=2500, seed=3, shards=1), fill, 6)
+        assert lengths == [1024, 1024, 452]
 
     def test_zero_function_gives_zero_without_warning(self):
         fams = enumerate_symmetries(BalancedType(3, (2,)))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -11,8 +12,10 @@ from spherebl import (
     MultiIndex,
     NotMaximalError,
     Symmetry,
+    balanced_types_upto,
     complete_edges,
     decompose,
+    enumerate_symmetries,
     is_maximal,
     lie_closure,
 )
@@ -196,14 +199,60 @@ def test_decompose_finds_components_once(monkeypatch):
 class TestSymmetry:
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
-            Symmetry.of(4, [mi(4, 1, 2), mi(4, 2, 3)])  # overlap
+            Symmetry(4, [mi(4, 1, 2), mi(4, 2, 3)])  # overlap
         with pytest.raises(ValueError):
-            Symmetry.of(4, [mi(4, 1)])  # weight 1
+            Symmetry(4, [mi(4, 1)])  # weight 1
         with pytest.raises(ValueError):
-            Symmetry.of(6, [mi(6, 1, 2), mi(6, 3, 4, 5)])  # weights increasing
+            Symmetry(6, [mi(6, 1, 2), mi(6, 3, 4, 5)])  # weights increasing
 
     def test_non_canonical_order_allowed(self):
-        s = Symmetry.of(4, [mi(4, 3, 4), mi(4, 1, 2)])
+        s = Symmetry(4, [mi(4, 3, 4), mi(4, 1, 2)])
         assert s.canonical() != s
         assert s.canonical().blocks() == ((1, 2), (3, 4))
         assert s.canonical().edges() == s.edges()
+
+
+class TestFreeCoordinates:
+    """``r_mask`` is derived: the coordinates in no block."""
+
+    @staticmethod
+    def assert_free_is_complement(s):
+        union = 0
+        for a in s.alphas:
+            union |= a.mask
+        assert s.r_mask == MultiIndex(s.n, ((1 << s.n) - 1) ^ union)
+
+    def test_every_balanced_member_up_to_8(self):
+        for t in balanced_types_upto(8):
+            for s in enumerate_symmetries(t):
+                self.assert_free_is_complement(s)
+
+    @pytest.mark.parametrize("n, edges", [
+        (4, [(1, 2)]),
+        (5, [(1, 2), (3, 4), (3, 5), (4, 5)]),
+        (6, complete_edges(6)),
+        (12, [(1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (11, 12)]),
+        (64, [(1, 64), (1, 63), (63, 64), (10, 20)]),
+        (64, complete_edges(64)),
+    ])
+    def test_decompositions(self, n, edges):
+        s = decompose(EdgeSet.of(n, edges))
+        self.assert_free_is_complement(s)
+        assert s.canonical().r_mask == s.r_mask
+
+    def test_constructor_equals_from_blocks(self):
+        blocks = [(2, 5, 6), (1, 3)]
+        s = Symmetry(7, [mi(7, *b) for b in blocks])
+        t = Symmetry.from_blocks(7, blocks)
+        assert s == t and hash(s) == hash(t)
+        assert s.r_mask.support() == (4, 7)
+
+    def test_field_order_keeps_r_last(self):
+        # the record writer and its oracle read the fields in this order
+        assert [f.name for f in dataclasses.fields(Symmetry)] == ["n", "alphas", "r_mask"]
+
+    def test_r_mask_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            Symmetry(4, [mi(4, 1, 2)], mi(4, 3, 4))
+        with pytest.raises(TypeError):
+            Symmetry(4, [mi(4, 1, 2)], r_mask=mi(4, 3, 4))
