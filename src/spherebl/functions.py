@@ -8,11 +8,14 @@ reflection-symmetry assumption of the product inequalities holds
 automatically.
 
 The random block invariants of a whole family are one kernel,
-:func:`random_block_invariants`: an :class:`IntegrandStack` that fills every
-member's row in a few large numpy calls, sharing the block radii the
-members have in common.  Its rows are the logarithms of the values, as
-for every stack; :func:`random_block_invariant` is exp of its one-member
-case, so a function's values do not depend on which form evaluates it.
+:func:`random_block_invariants`.  Each member is exp(sum_k C[j, k] x_k^2)
+for one row of a (members x n) coefficient matrix C, so the stack it
+returns keeps C as :attr:`IntegrandStack.coef` and fills every member's
+row with one product of C and the squared points.  Its rows are the
+logarithms of the values, as for every stack; the Holder check instead
+writes the product and the powers of such a stack from C directly.
+:func:`random_block_invariant` is exp of the one-member case, so a
+function's values do not depend on which form evaluates it.
 """
 
 from __future__ import annotations
@@ -33,65 +36,25 @@ def constant_integrand(n: int, value: float = 1.0,
                      symmetry_tag=tag)
 
 
-#: Floats of scratch space one :func:`random_block_invariants` evaluation
-#: uses; it sets how many member rows are built together.
-_SCRATCH_FLOATS = 1 << 16
-
-
 def random_block_invariants(fams: Sequence[Symmetry], seeds: Sequence[int],
                             amplitude: float = 1.0) -> IntegrandStack:
     """:func:`random_block_invariant` of every ``fams[j]`` with seed
     ``seeds[j]``, as one stack.
 
-    Like every stack, it writes the logarithms of the values: row j is
-    member j's exponent sum S_j, whose exp equals the single function's
-    values bit for bit, since each member draws its coefficients exactly as
-    the single function does.  One evaluation computes the squared block
-    radius of every distinct block and the square of every distinct free
-    coordinate of the family once, into one small array, then builds each
-    member's exponent sum in the single function's term order, a group of
-    member rows at a time.
+    Member j is exp(sum_k C[j, k] x_k^2), where C[j, k] is the coefficient
+    member j draws for the block or free coordinate that holds k, exactly
+    as the single function draws it.  The stack keeps C as its ``coef``
+    and, like every stack, writes the logarithms of the values: row j is
+    C[j] times the squared points, whose exp equals the single function's
+    values bit for bit.
     """
-    rows: dict[tuple[int, ...], int] = {}
-    index, coeffs = [], []
-    for s, seed in zip(fams, seeds, strict=True):
+    coef = np.zeros((len(fams), fams[0].n))
+    for row, s, seed in zip(coef, fams, seeds, strict=True):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        terms = ([tuple(i - 1 for i in a.support()) for a in s.alphas]
-                 + [(i - 1,) for i in s.r_mask.support()])
-        coeffs.append(rng.uniform(-amplitude, amplitude, size=len(terms)))
-        index.append([rows.setdefault(t, len(rows)) for t in terms])
-    width = max(len(ix) for ix in index)
-    # members with fewer terms add 0 times an all-zero last row
-    idx = np.full((len(index), width), len(rows), dtype=np.intp)
-    coef = np.zeros((len(index), width))
-    for j, (ix, c) in enumerate(zip(index, coeffs)):
-        idx[j, :len(ix)] = ix
-        coef[j, :len(c)] = c
-    cols = [np.array(t, dtype=int) for t in rows]
-
-    def fill(pts: np.ndarray, out: np.ndarray) -> None:
-        m = len(pts)
-        u = np.empty((len(cols) + 1, m))
-        for row, c in zip(u, cols):
-            x = pts[:, c]
-            x *= x
-            x.sum(axis=1, out=row)
-        u[-1] = 0.0
-        group = max(1, _SCRATCH_FLOATS // max(1, m))
-        scratch = np.empty((min(group, len(out)), m))
-        for g0 in range(0, len(out), group):
-            acc = out[g0:g0 + group]
-            ix, cf = idx[g0:g0 + group], coef[g0:g0 + group]
-            tmp = scratch[:len(acc)]
-            # mode="clip" lets take write into out= without a buffer copy
-            np.take(u, ix[:, 0], axis=0, out=acc, mode="clip")
-            acc *= cf[:, :1]
-            for t in range(1, width):
-                np.take(u, ix[:, t], axis=0, out=tmp, mode="clip")
-                tmp *= cf[:, t:t + 1]
-                acc += tmp
-
-    return IntegrandStack(n=fams[0].n, tags=tuple(fams), fill=fill)
+        terms = [a.support() for a in s.alphas] + [(i,) for i in s.r_mask.support()]
+        for c, term in zip(rng.uniform(-amplitude, amplitude, size=len(terms)), terms):
+            row[[i - 1 for i in term]] = c
+    return IntegrandStack.from_coef(tuple(fams), coef)
 
 
 def random_block_invariant(s: Symmetry, seed: int, amplitude: float = 1.0) -> Integrand:

@@ -30,10 +30,15 @@ columns and return its partial, which the engine merges in (see
 shrinks with the number of series (:data:`_CHUNK_BUDGET`), so the last bit
 of a sum can depend on the series count, never the points themselves.
 
-The product-versus-norms check works in log space.
-:attr:`IntegrandStack.fill` has the signature of ``fill`` but writes log f,
-and the check turns those rows into the product exp(sum_j log f_j) and the
-powers exp(p_j log f_j) in place.
+The product-versus-norms check works with exponents.
+:attr:`IntegrandStack.fill` has the signature of ``fill`` but writes log f.
+A stack of functions exp(sum_k C[j, k] x_k^2), such as the random
+symmetric functions, keeps its coefficient matrix C as
+:attr:`IntegrandStack.coef`; the check then writes the product and the
+powers as exp of one matrix, (sum_j C[j]; p_j C[j]), times the squared
+points.  Every other stack (integrand lists, constants, extremal functions)
+writes its log rows, which the check turns into the product
+exp(sum_j log f_j) and the powers exp(p_j log f_j) in place.
 
 Estimates carry the plain MC standard error (sample standard deviation /
 sqrt(samples)).  The variance is merged from per-chunk (count, sum, sum of
@@ -48,7 +53,8 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -126,11 +132,16 @@ class IntegrandStack:
     and write straight into an estimator's rows, where the Hoelder check
     takes products and powers as exp of sums and multiples.  ``tags[i]`` is
     member i's symmetry tag, as in :class:`Integrand`.
+
+    ``coef``, when set, is the (len(stack), n) matrix C of a stack whose
+    member i is exp(sum_k C[i, k] x_k^2) (see :meth:`from_coef`); the
+    Hoelder check evaluates such a stack from C instead of from ``fill``.
     """
 
     n: int
     tags: tuple[Symmetry | None, ...]
     fill: Callable[[np.ndarray, np.ndarray], None]
+    coef: np.ndarray | None = field(default=None, compare=False)
 
     def __len__(self) -> int:
         return len(self.tags)
@@ -151,6 +162,24 @@ class IntegrandStack:
                     np.log(f.eval(pts), out=row)
 
         return cls(n=n, tags=tuple(f.symmetry_tag for f in fs), fill=fill)
+
+    @classmethod
+    def from_coef(cls, tags: tuple[Symmetry | None, ...],
+                  coef: np.ndarray) -> "IntegrandStack":
+        """The stack of the functions exp(sum_k coef[i, k] x_k^2), which
+        keeps ``coef``."""
+        return cls(n=coef.shape[1], tags=tags, fill=partial(_square_forms, coef), coef=coef)
+
+
+def _square_forms(coef: np.ndarray, pts: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = sum_k coef[i, k] x_k^2 at the (m, n) points.  For m >= 2
+    that is one multiply and one add per term, k ascending, so the bits of
+    a row depend on neither the other rows nor the other points."""
+    # numpy's own einsum loop, not BLAS (np.matmul): a BLAS product changed
+    # its last bits with its thread count and with the slice of its
+    # operands, so seeded records would have depended on the machine
+    np.einsum("jk,km->jm", coef, np.ascontiguousarray((pts * pts).T), out=out,
+              optimize=False)
 
 
 def _worker_limit() -> int | None:
@@ -305,9 +334,14 @@ def _mc_estimates(cfg: QuadConfig, dim: int, fill, num_series: int,
         partials = [job(points) for points in streams]
 
     acc = (0, np.zeros(num_series), np.zeros(num_series))
-    for part in partials:  # fixed order: active shards ascending
-        acc = _merge(acc, part)
+    with np.errstate(all="ignore"):  # an overflow is reported below
+        for part in partials:  # fixed order: active shards ascending
+            acc = _merge(acc, part)
     _, s1, m2 = acc
+    if not (np.isfinite(s1).all() and np.isfinite(m2).all()):
+        raise NonFiniteSampleError(
+            "a sum or a sum of squared deviations overflows the float range; "
+            "lower the function's scale or exponent")
 
     m = cfg.samples
     out = []
@@ -486,7 +520,10 @@ def holder_verify_sets(fams: Sequence[Symmetry],
     product and the p-th powers of its functions as 1 + len(ps) series of a
     single estimator pass.  A stack writes the logarithms of its values
     straight into the engine's rows; the product and the powers are then
-    taken there in place, as exp of their sum and of their multiples.
+    taken there in place, as exp of their sum and of their multiples.  A
+    stack with ``coef`` writes all its 1 + len(ps) rows instead as exp of
+    the matrix (coef summed over members; p_j coef[j]) times the squared
+    points.
     """
     exps = per_function_exponents(fams)
     if len(ps) != len(fams) or any(len(fs) != len(fams) for fs in fs_sets):
@@ -509,11 +546,18 @@ def holder_verify_sets(fams: Sequence[Symmetry],
              for stack in stacks]
 
     width = 1 + len(ps)
+    mats = [None if stack.coef is None
+            else np.vstack([stack.coef.sum(axis=0), np.asarray(ps)[:, None] * stack.coef])
+            for stack in stacks]
 
     def fill(pts: np.ndarray, out: np.ndarray) -> None:
-        for stack, rows in zip(stacks, out.reshape(len(stacks), width, len(pts))):
-            stack.fill(pts, rows[1:])
-            _product_and_powers(rows, ps)
+        for stack, mat, rows in zip(stacks, mats, out.reshape(len(stacks), width, len(pts))):
+            if mat is None:
+                stack.fill(pts, rows[1:])
+                _product_and_powers(rows, ps)
+            else:
+                _square_forms(mat, pts, rows)
+                np.exp(rows, out=rows)
 
     ests = mc_sphere_estimates(n, cfg, fill, len(stacks) * width)
     return [_holder_record(ests[k * width:(k + 1) * width], ps, flags[k])

@@ -3,7 +3,8 @@
 Nothing here reuses the library's algorithms: the Lie closure oracle works
 with actual matrix brackets and linear spans, the enumeration oracle walks
 permutations, the 1-d oracles integrate profiles with adaptive
-quadrature, and the record oracle builds plain values for ``json.dumps``.
+quadrature, the square-form oracle adds one term at a time in a Python
+loop, and the record oracle builds plain values for ``json.dumps``.
 Values frozen into tests were produced by these routines.
 """
 
@@ -185,6 +186,16 @@ def radial_lower_bound_exponent(n: int, gamma: float, bracket: int) -> float:
 
 
 _RECORD_KIND = {DivergenceReport: "divergence", NormScanReport: "scan", GrowthReport: "growth"}
+
+
+def square_forms_oracle(coef: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Row i is sum_k coef[i, k] * x_k^2 at the (m, n) points, summed in a
+    loop from zero: one multiply and one add per coordinate, k ascending."""
+    sq = pts * pts
+    out = np.zeros((len(coef), len(pts)))
+    for k in range(coef.shape[1]):
+        out += coef[:, k:k + 1] * sq[:, k]
+    return out
 
 
 def record_values(value: Any) -> Any:

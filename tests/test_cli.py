@@ -318,17 +318,21 @@ class TestRunAndRecord:
         ("verify-holder", {"p": 1e300}, 1),
         ("verify-sharpness", {"p": 1e300, "gamma": 1e-301}, 1),
         ("verify-local", {"eta": 1e300}, 0),
+        # finite powers whose squared deviations overflow
+        ("verify-holder", {"functions": {"kind": "random-symmetric", "amplitude": 300,
+                                        "seed": 0}}, 1),
     ])
     def test_overflow_prints_no_numpy_warning(self, mode, extra, code):
         # a separate process, so standard error is exactly what a user sees;
-        # two workers, so the shard jobs run in pool threads
+        # two workers, so the shard jobs run in pool threads; -W error, so a
+        # numpy warning would end in a traceback
         payload = {"type": {"n": 3, "lengths": [2]},
                    "quad": {"samples": 1000, "seed": 1, "shards": 4}, **extra}
         root = Path(__file__).resolve().parent.parent
         path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
         env = dict(os.environ, SPHEREBL_WORKERS="2",
                    PYTHONPATH=os.pathsep.join(p for p in path if p))
-        proc = subprocess.run([sys.executable, "-m", "spherebl.cli", mode, "-"],
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "spherebl.cli", mode, "-"],
                               input=json.dumps(payload), env=env, capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == code
@@ -540,6 +544,10 @@ class TestScenarioValues:
         ("verify-sharpness", "eps_grid", [0.25, 0.125, 1e-320], "eps_grid"),
         ("verify-holder", "functions", {"kind": "extremal", "gamma": 0.2, "trunc": 1e-320},
          "functions"),
+        # finite powers whose squared deviations overflow: an infinite error
+        # bar would pass any check
+        ("verify-holder", "functions",
+         {"kind": "random-symmetric", "amplitude": 300, "seed": 0}, "functions"),
     ])
     def test_bad_value_is_input_error(self, tmp_path, capsys, mode, key, value, path):
         payload = dict(self.BASE[mode])

@@ -32,7 +32,7 @@ from spherebl import (
     random_block_invariants,
     sample_sphere,
 )
-from oracles import written
+from oracles import square_forms_oracle, written
 
 CFG = QuadConfig(samples=200_000, seed=91, shards=4)
 
@@ -214,6 +214,17 @@ class TestIntegrate:
     def test_constant(self):
         est = integrate(constant_integrand(5, 1.0), CFG)
         assert est.value == 1.0 and est.stderr == 0.0
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_overflowing_spread_is_non_finite(self, monkeypatch, workers):
+        # finite values and sums, but the squared deviations overflow: an
+        # infinite stderr would make any 3-sigma band vacuous
+        monkeypatch.setenv("SPHEREBL_WORKERS", workers)
+        f = Integrand(3, lambda pts: 1e160 * (1.0 + pts[:, 0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteSampleError, match="overflows"):
+                integrate(f, QuadConfig(samples=10_000, seed=2, shards=4))
 
     def test_large_mean_keeps_its_spread(self):
         # s2 - s1^2/m cancels to 0 here; merged deviations keep the spread
@@ -455,6 +466,44 @@ class TestHolder:
         mc_sphere_estimates(5, QuadConfig(samples=2500, seed=3, shards=1), fill, 6)
         assert lengths == [1024, 1024, 452]
 
+    @staticmethod
+    def holder_rows(fams, stack, ps, pts):
+        """The rows the Hoelder check's fill writes for ``stack`` at ``pts``."""
+        class Captured(Exception):
+            pass
+
+        def capture(n, cfg, fill, num_series):
+            raise Captured(fill)
+
+        with pytest.MonkeyPatch.context() as mp, pytest.raises(Captured) as caught:
+            mp.setattr(quadrature, "mc_sphere_estimates", capture)
+            holder_verify_sets(fams, [stack], ps, CFG)
+        out = np.empty((1 + len(ps), len(pts)))
+        caught.value.args[0](pts, out)
+        return out
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_coefficient_rows_match_the_log_rows(self, mixed):
+        fams = enumerate_symmetries(BalancedType(6, (2, 2)))
+        ps = [78.0 + (3.5 * (j % 4) if mixed else 0.0) for j in range(len(fams))]
+        stack = random_block_invariants(fams, [3 + 101 * j for j in range(len(fams))])
+        pts = next(iter(sample_sphere(6, QuadConfig(samples=5000, seed=8, shards=1))))
+        fused = self.holder_rows(fams, stack, ps, pts)
+        logged = self.holder_rows(fams, dataclasses.replace(stack, coef=None), ps, pts)
+        assert np.all(np.isfinite(fused)) and np.all(fused > 0)
+        assert np.allclose(fused, logged, rtol=1e-13, atol=0)
+
+    def test_coefficient_rows_do_not_depend_on_the_workers(self, monkeypatch):
+        fams = enumerate_symmetries(BalancedType(6, (2, 2)))
+        sets = [random_block_invariants(fams, [5 + 101 * j + 977 * k for j in range(len(fams))])
+                for k in range(2)]
+        cfg = QuadConfig(samples=30_000, seed=611, shards=4)
+        records = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("SPHEREBL_WORKERS", workers)
+            records.append(holder_verify_sets(fams, sets, [78.0] * len(fams), cfg))
+        assert records[0] == records[1]
+
     def test_zero_function_gives_zero_without_warning(self):
         fams = enumerate_symmetries(BalancedType(3, (2,)))
         fs = [constant_integrand(3, 0.0, tag=s) for s in fams]
@@ -553,6 +602,30 @@ class TestRandomBlockInvariants:
         stack = random_block_invariants(self.FAMS, [1, 2, 3])
         assert isinstance(stack, IntegrandStack)
         assert stack.n == 10 and stack.tags == tuple(self.FAMS) and len(stack) == 3
+        assert stack.coef.shape == (3, 10)
+
+    @pytest.mark.parametrize("fams", [FAMS, enumerate_symmetries(BalancedType(6, (2, 2)))],
+                             ids=["n10", "holder-wide"])
+    def test_rows_equal_the_term_by_term_oracle(self, monkeypatch, fams):
+        stack = random_block_invariants(fams, [7 + 13 * j for j in range(len(fams))])
+        lengths = []
+
+        def fill(pts, out):
+            stack.fill(pts, out)
+            assert out.tobytes() == square_forms_oracle(stack.coef, pts).tobytes()
+            lengths.append(len(pts))
+
+        monkeypatch.setattr(quadrature, "_CHUNK_BUDGET", 1)  # chunks of 1024 points
+        cfg = QuadConfig(samples=2500, seed=3, shards=1)
+        mc_sphere_estimates(fams[0].n, cfg, fill, len(fams))
+        assert lengths == [1024, 1024, 452]
+
+    def test_coefficients_are_the_draws(self):
+        s = self.FAMS[1]  # blocks {1, 2} and {3, 4}, then free 5..10
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(9)))
+        a = rng.uniform(-1.0, 1.0, size=8)
+        coef = random_block_invariants([s], [9]).coef
+        assert coef.tolist() == [[a[0], a[0], a[1], a[1], *a[2:]]]
 
     def test_adapter_rejects_mixed_dimensions(self):
         with pytest.raises(ValueError, match="dimension"):
