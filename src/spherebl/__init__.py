@@ -53,7 +53,6 @@ from .extremal import (
 )
 from .fitting import LineFit, fit_line
 from .functions import (
-    capped_power_profile,
     constant_integrand,
     random_block_invariant,
     random_block_invariants,

@@ -429,7 +429,7 @@ def _run_verify_holder(type=None, families=None, p=None, ps=None, count=1,
     try:
         records = _at(key, holder_verify_sets, fams, fs_sets, ps, quad)
     except NonFiniteSampleError as exc:
-        raise InputError("functions", f"{exc} (or its p-th power overflows)") from exc
+        raise InputError("functions", str(exc)) from exc
     ok = all(r.passed for r in records)
     label = "family" if type is None else f"{type.n},{list(type.lengths)}"
     return {"type_label": label, "records": records, "all_pass": ok}, ok

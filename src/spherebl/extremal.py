@@ -43,10 +43,11 @@ growth experiment likewise draws the unit ball once and evaluates every
 radius R on R times those points.
 
 The local growth experiment estimates the ball integral of a product of
-capped power profiles pulled back from the coordinate projections; its
-log-log slope approaches delta - eta * sum(1/p_J), slightly below the
-sharp growth exponent delta, with the gap vanishing as the tail-weight
-parameter eta goes to 0.
+capped power profiles min(1, r^(-s_J)) pulled back from the coordinate
+projections; its log-log slope approaches delta - eta * sum(1/p_J),
+slightly below the sharp growth exponent delta, with the gap vanishing as
+the tail-weight parameter eta goes to 0.  It takes one logarithm per
+member and point, not one power per radius, member and point.
 
 A sharpness run returns a :class:`DivergenceReport`, a truncated norm scan
 a :class:`NormScanReport` and a local growth run a :class:`GrowthReport`;
@@ -69,7 +70,6 @@ from .exponents import (
     local_delta,
 )
 from .fitting import fit_line
-from .functions import capped_power_profile
 from .quadrature import (
     Estimate,
     Integrand,
@@ -526,6 +526,10 @@ def local_growth_experiment(fams: Sequence[Symmetry], exps: Sequence[int],
     the right-hand side is finite and the expected asymptotic slope is
     delta - eta * sum(1/p_J).  The slope is fitted over the trailing half
     of the radius grid (log-log OLS).
+
+    The product at radius R is evaluated as exp(sum_J -s_J max(0, log R +
+    log r_J)), which equals it up to the last bits and is exactly 1 at
+    R = 1, where every r_J <= 1.
     """
     r_grid = _grid(r_grid, 4, descending=False)
     _positive("eta", eta)
@@ -535,17 +539,26 @@ def local_growth_experiment(fams: Sequence[Symmetry], exps: Sequence[int],
     free_cols = [np.array([i - 1 for i in s.alphas[0].complement().support()],
                           dtype=int) for s in fams]
     s_exps = [(len(cols) + eta) / p for cols, p in zip(free_cols, exps)]
-    profiles = [capped_power_profile(se) for se in s_exps]
+    log_r = np.log(r_grid)
+    tiny = np.finfo(float).tiny
 
     # one draw of the unit ball serves every radius: the points of the ball
     # of radius R are R times those of the unit ball, and so are their
-    # projection radii (exact for dyadic R)
+    # projection radii.  Row i sums -s_J max(0, log R_i + l_J) over the
+    # members, l_J = log(max(r_J, tiny)), one (m,) term at a time; every
+    # term is <= 0, so a huge s_J gives -inf, never inf - inf
     def fill(pts: np.ndarray, out: np.ndarray) -> None:
-        out.fill(1.0)
-        for cols, prof in zip(free_cols, profiles):
+        term = np.empty(len(pts))
+        for j, (cols, s) in enumerate(zip(free_cols, s_exps)):
             r = np.sqrt((pts[:, cols] ** 2).sum(axis=1)) if cols.size else np.zeros(len(pts))
-            for row, radius in zip(out, r_grid):
-                row *= prof(radius * r)
+            l = np.log(np.maximum(r, tiny, out=r), out=r)
+            for row, lr in zip(out, log_r):
+                acc = term if j else row  # member 0 is written in place
+                np.maximum(np.add(l, lr, out=acc), 0.0, out=acc)
+                acc *= -s
+                if j:
+                    row += acc
+        np.exp(out, out=out)
 
     lhs = mc_ball_estimates(n, 1.0, cfg, fill, len(r_grid),
                             volumes=[ball_volume(n, radius) for radius in r_grid])

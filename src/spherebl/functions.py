@@ -1,9 +1,9 @@
-"""Built-in integrands for the verification experiments: constants, the
-random block invariants of the Holder check and the capped power profile
-of the local growth experiment.
+"""Built-in integrands for the verification experiments: constants and the
+random block invariants of the Holder check.  (The local growth experiment
+evaluates its capped power profiles itself, in logarithms.)
 
 Everything here is even in each coordinate by construction (dependence is
-through squares, block radii and projection radii only), so the
+through squares and block radii only), so the
 reflection-symmetry assumption of the product inequalities holds
 automatically.
 
@@ -75,16 +75,3 @@ def random_block_invariant(s: Symmetry, seed: int, amplitude: float = 1.0) -> In
         return np.exp(out[0], out=out[0])
 
     return Integrand(n=s.n, eval=ev, symmetry_tag=s)
-
-
-def capped_power_profile(exponent: float):
-    """r -> min(1, r^(-exponent)); bounded, with integrable tails for small
-    exponents: the profile of the local growth experiment."""
-    if exponent <= 0:
-        raise ValueError("exponent must be positive")
-
-    def profile(r: np.ndarray) -> np.ndarray:
-        r = np.maximum(np.asarray(r, dtype=float), np.finfo(float).tiny)
-        return np.minimum(1.0, r ** (-exponent))
-
-    return profile

@@ -281,7 +281,7 @@ def _reduce(vals: np.ndarray):
         raise NonFiniteSampleError(
             "integrand returned a non-finite value, or a negative value where its "
             "logarithm is taken (the Holder check); truncate the singularity or "
-            "keep the function positive")
+            "keep the function positive, or lower p if its p-th power overflows")
     vals -= (sums / m)[:, None]
     vals *= vals
     return m, sums, vals.sum(axis=1)

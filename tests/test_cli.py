@@ -321,6 +321,8 @@ class TestRunAndRecord:
         # finite powers whose squared deviations overflow
         ("verify-holder", {"functions": {"kind": "random-symmetric", "amplitude": 300,
                                         "seed": 0}}, 1),
+        # a profile exponent s_J near the float maximum: its terms are -inf
+        ("verify-local", {"eta": 1.7e308}, 0),
     ])
     def test_overflow_prints_no_numpy_warning(self, mode, extra, code):
         # a separate process, so standard error is exactly what a user sees;
@@ -340,6 +342,22 @@ class TestRunAndRecord:
             assert proc.stderr == ""
         else:  # the CLI's own line only
             assert re.fullmatch(r"error: [^\n]*\n", proc.stderr), proc.stderr
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"p": 1e300},
+         "integrand returned a non-finite value, or a negative value where its logarithm "
+         "is taken (the Holder check); truncate the singularity or keep the function "
+         "positive, or lower p if its p-th power overflows"),
+        ({"functions": {"kind": "random-symmetric", "amplitude": 300, "seed": 0}},
+         "a sum or a sum of squared deviations overflows the float range; lower the "
+         "function's scale or exponent"),
+    ], ids=["power", "deviations"])
+    def test_holder_non_finite_error_names_its_own_cause(self, tmp_path, capsys, extra,
+                                                          message):
+        payload = {"type": {"n": 3, "lengths": [2]},
+                   "quad": {"samples": 1000, "seed": 1, "shards": 4}, **extra}
+        assert main(["verify-holder", write(tmp_path, "s.json", payload)]) == 1
+        assert capsys.readouterr().err == f"error: functions: {message}\n"
 
 
 def est(value, stderr, seed):

@@ -11,7 +11,6 @@ from spherebl import (
     ExtremalParams,
     QuadConfig,
     balanced_exponent,
-    capped_power_profile,
     critical_gamma,
     decompose,
     default_eps_grid,
@@ -269,6 +268,79 @@ class TestLocalGrowth:
         d = json.loads(text)
         assert json.dumps(d, indent=2) == text
         assert [e["value"] for e in d["lhs"]] == [e.value for e in rep.lhs]
+
+    @staticmethod
+    def growth_fill(monkeypatch, fams, grid):
+        """The fill that local_growth_experiment hands the estimator for
+        ``grid``, with the run's report."""
+        import spherebl.extremal as extremal
+        estimator = extremal.mc_ball_estimates
+        fills = []
+
+        def spy(dim, radius, cfg, fill, num_series, volumes):
+            fills.append(fill)
+            return estimator(dim, radius, cfg, fill, num_series, volumes=volumes)
+
+        monkeypatch.setattr(extremal, "mc_ball_estimates", spy)
+        rep = local_growth_experiment(fams, per_function_exponents(fams), eta=0.1,
+                                      r_grid=grid, cfg=QuadConfig(samples=2000, seed=5, shards=2))
+        return fills[0], rep
+
+    @pytest.mark.parametrize("edges", [
+        None,  # type (3; 2): s_J = 0.55 for every member
+        # s_J = 0.55, 1.05, 0.55: projections of dimension 1, 2 and 1
+        ([(1, 2), (2, 3), (1, 3)], [(1, 4)], [(2, 4), (3, 4), (2, 3)]),
+    ], ids=["type", "family"])
+    def test_fill_matches_the_capped_profiles(self, monkeypatch, edges):
+        # the fill works in logarithms: row R is exp(x) for a sum x of
+        # -s_J max(0, log R + log r_J), whose rounding error is a few ulps
+        # of |x|, and exp turns that into a relative error; so every row
+        # stays within four ulps of 1 + |x| of prod_J min(1, (R r_J)^(-s_J))
+        # computed directly (5e-15 and 7e-15 measured at R = 1e5, where |x|
+        # reaches 12 and 25), on a grid whose radii are not powers of two
+        if edges is None:
+            fams = enumerate_symmetries(BalancedType(3, (2,)))
+        else:
+            fams = [decompose(EdgeSet.of(4, e)) for e in edges]
+        n = fams[0].n
+        grid = [1.0, 3.0, 10.0, 1e3, 1e5]
+        fill, rep = self.growth_fill(monkeypatch, fams, grid)
+        if edges is not None:
+            assert rep.profile_exponents == pytest.approx((0.55, 1.05, 0.55), rel=1e-15)
+        # points of the unit ball, the origin and the unit vectors among them
+        rng = np.random.default_rng(5)
+        pts = rng.standard_normal((50_000, n))
+        pts *= (rng.uniform(size=50_000) ** (1 / n) / np.linalg.norm(pts, axis=1))[:, None]
+        pts = np.vstack([np.zeros(n), np.eye(n), pts])
+        out = np.empty((len(grid), len(pts)))
+        fill(pts, out)
+        assert (out[0] == 1.0).all()  # R = 1: every r_J <= 1, no cap acts
+        eps = np.finfo(float).eps
+        for row, radius in zip(out, grid):
+            ref = np.ones(len(pts))
+            for s, se in zip(fams, rep.profile_exponents):
+                cols = [i - 1 for i in s.alphas[0].complement().support()]
+                r = np.maximum(radius * np.sqrt((pts[:, cols] ** 2).sum(axis=1)),
+                               np.finfo(float).tiny)
+                with np.errstate(over="ignore"):  # tiny^(-s) at the origin
+                    ref *= np.minimum(1.0, r ** -se)
+            assert np.all(np.abs(row - ref) <= 4 * eps * (1 - np.log(ref)) * ref)
+
+    def test_fill_allocates_no_block_of_its_own(self, monkeypatch):
+        # the fill works one member and one radius at a time in (m,) arrays:
+        # its peak allocation stays below the (series, m) block it writes
+        import tracemalloc
+        fill, _ = self.growth_fill(monkeypatch, enumerate_symmetries(BalancedType(3, (2,))),
+                                   default_r_grid())
+        pts = np.random.default_rng(6).uniform(-0.5, 0.5, (20_000, 3))
+        out = np.empty((len(default_r_grid()), len(pts)))
+        tracemalloc.start()
+        try:
+            fill(pts, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes / 2
 
 
 def test_default_grids():
@@ -546,17 +618,22 @@ class TestFusedGrids:
         grid = [2.0 ** k for k in range(0, 6)]
         cfg = QuadConfig(samples=20_000, seed=9, shards=2)
         rep = local_growth_experiment(fams, exps, eta=0.1, r_grid=grid, cfg=cfg)
-        profiles = [capped_power_profile(se) for se in rep.profile_exponents]
         free = [[i - 1 for i in s.alphas[0].complement().support()] for s in fams]
 
-        def fill(pts, out):
-            row = np.ones(len(pts))
-            for cols, prof in zip(free, profiles):
-                row = row * prof(np.sqrt((pts[:, cols] ** 2).sum(axis=1)))
-            out[0] = row
+        def fill_at(radius):
+            # the points of the ball of radius R, whose projection radii
+            # divided by R are the unit ball's to the bit for dyadic R
+            def fill(pts, out):
+                row = np.zeros(len(pts))
+                for cols, s in zip(free, rep.profile_exponents):
+                    r = np.sqrt((pts[:, cols] ** 2).sum(axis=1)) / radius
+                    log_r = np.log(np.maximum(r, np.finfo(float).tiny))
+                    row = row + -s * np.maximum(np.log(radius) + log_r, 0.0)
+                out[0] = np.exp(row)
+            return fill
 
         for k, radius in enumerate(grid):
-            ref = mc_ball_estimates(3, radius, cfg, fill, 1)[0]
+            ref = mc_ball_estimates(3, radius, cfg, fill_at(radius), 1)[0]
             assert rep.lhs[k] == ref
 
     def test_worker_width_does_not_change_fused_runs(self, monkeypatch):
