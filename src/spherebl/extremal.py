@@ -528,8 +528,8 @@ def local_growth_experiment(fams: Sequence[Symmetry], exps: Sequence[int],
     of the radius grid (log-log OLS).
 
     The product at radius R is evaluated as exp(sum_J -s_J max(0, log R +
-    log r_J)), which equals it up to the last bits and is exactly 1 at
-    R = 1, where every r_J <= 1.
+    log r_J)): within a few ulps of 1 + |log value| relative, and exactly 1
+    at R = 1, where every r_J <= 1.
     """
     r_grid = _grid(r_grid, 4, descending=False)
     _positive("eta", eta)
