@@ -55,13 +55,11 @@ from .fitting import LineFit, fit_line
 from .functions import (
     constant_integrand,
     random_block_invariant,
-    random_block_invariants,
 )
 from .quadrature import (
     RNG_ALGORITHM,
     Estimate,
     Integrand,
-    IntegrandStack,
     QuadConfig,
     VerificationRecord,
     ball_volume,

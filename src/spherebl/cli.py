@@ -50,7 +50,7 @@ from .extremal import (
     local_growth_experiment,
     sharpness_experiment,
 )
-from .functions import constant_integrand, random_block_invariants
+from .functions import constant_integrand, random_block_invariant
 from .quadrature import (
     _WORKERS_ENV,
     RNG_ALGORITHM,
@@ -369,8 +369,8 @@ def _functions(value: Any, path: str):
     def make(fams, repetition, fallback_seed):
         base = spec.get("seed", fallback_seed) + 977 * repetition
         try:
-            return random_block_invariants(
-                fams, [base + 101 * j for j in range(len(fams))], spec.get("amplitude", 1.0))
+            return [random_block_invariant(s, base + 101 * j, spec.get("amplitude", 1.0))
+                    for j, s in enumerate(fams)]
         except OverflowError as exc:  # a range [-amplitude, amplitude] too wide
             raise InputError(f"{path}.amplitude", str(exc)) from exc
     return make

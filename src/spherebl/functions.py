@@ -7,24 +7,18 @@ through squares and block radii only), so the
 reflection-symmetry assumption of the product inequalities holds
 automatically.
 
-The random block invariants of a whole family are one kernel,
-:func:`random_block_invariants`.  Each member is exp(sum_k C[j, k] x_k^2)
-for one row of a (members x n) coefficient matrix C, so the stack it
-returns keeps C as :attr:`IntegrandStack.coef` and fills every member's
-row with one product of C and the squared points.  Its rows are the
-logarithms of the values, as for every stack; the Holder check instead
-writes the product and the powers of such a stack from C directly.
-:func:`random_block_invariant` is exp of the one-member case, so a
-function's values do not depend on which form evaluates it.
+A random block invariant is exp(sum_k c_k x_k^2) for one row c of
+coefficients, which it keeps as :attr:`Integrand.coef`.  The Holder check
+writes the product and the powers of a set of such functions from their
+rows at once; the function's own ``eval`` is exp of the one-row case, so its
+values do not depend on which form evaluates it.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from .quadrature import Integrand, IntegrandStack
+from .quadrature import Integrand, _square_forms
 from .symmetry import Symmetry
 
 
@@ -36,27 +30,6 @@ def constant_integrand(n: int, value: float = 1.0,
                      symmetry_tag=tag)
 
 
-def random_block_invariants(fams: Sequence[Symmetry], seeds: Sequence[int],
-                            amplitude: float = 1.0) -> IntegrandStack:
-    """:func:`random_block_invariant` of every ``fams[j]`` with seed
-    ``seeds[j]``, as one stack.
-
-    Member j is exp(sum_k C[j, k] x_k^2), where C[j, k] is the coefficient
-    member j draws for the block or free coordinate that holds k, exactly
-    as the single function draws it.  The stack keeps C as its ``coef``
-    and, like every stack, writes the logarithms of the values: row j is
-    C[j] times the squared points, whose exp equals the single function's
-    values bit for bit.
-    """
-    coef = np.zeros((len(fams), fams[0].n))
-    for row, s, seed in zip(coef, fams, seeds, strict=True):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        terms = [a.support() for a in s.alphas] + [(i,) for i in s.r_mask.support()]
-        for c, term in zip(rng.uniform(-amplitude, amplitude, size=len(terms)), terms):
-            row[[i - 1 for i in term]] = c
-    return IntegrandStack.from_coef(tuple(fams), coef)
-
-
 def random_block_invariant(s: Symmetry, seed: int, amplitude: float = 1.0) -> Integrand:
     """A random bounded positive function with the symmetry ``s``.
 
@@ -64,14 +37,19 @@ def random_block_invariant(s: Symmetry, seed: int, amplitude: float = 1.0) -> In
     the squared free coordinates, and the a_i are uniform in
     [-amplitude, amplitude], drawn from a Philox stream seeded by ``seed``
     (blocks first, then free coordinates).  Values stay within
-    e^(+-amplitude * #terms).  This is exp of the one-member case of
-    :func:`random_block_invariants`.
+    e^(+-amplitude * #terms).  The function's ``coef`` is the row c with
+    c_k = a_i for every coordinate k of term i, so it is
+    exp(sum_k c_k x_k^2).
     """
-    stack = random_block_invariants([s], [seed], amplitude)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    terms = [a.support() for a in s.alphas] + [(i,) for i in s.r_mask.support()]
+    coef = np.zeros(s.n)
+    for c, term in zip(rng.uniform(-amplitude, amplitude, size=len(terms)), terms):
+        coef[[i - 1 for i in term]] = c
 
     def ev(pts: np.ndarray) -> np.ndarray:
         out = np.empty((1, len(pts)))
-        stack.fill(pts, out)
+        _square_forms(coef[None], pts, out)
         return np.exp(out[0], out=out[0])
 
-    return Integrand(n=s.n, eval=ev, symmetry_tag=s)
+    return Integrand(n=s.n, eval=ev, symmetry_tag=s, coef=coef)

@@ -30,14 +30,12 @@ columns and return its partial, which the engine merges in (see
 shrinks with the number of series (:data:`_CHUNK_BUDGET`), so the last bit
 of a sum can depend on the series count, never the points themselves.
 
-The product-versus-norms check works with exponents.
-:attr:`IntegrandStack.fill` has the signature of ``fill`` but writes log f.
-A stack of functions exp(sum_k C[j, k] x_k^2), such as the random
-symmetric functions, keeps its coefficient matrix C as
-:attr:`IntegrandStack.coef`; the check then writes the product and the
-powers as exp of one matrix, (sum_j C[j]; p_j C[j]), times the squared
-points.  Every other stack (integrand lists, constants, extremal functions)
-writes its log rows, which the check turns into the product
+The product-versus-norms check works with exponents.  A function
+exp(sum_k c_k x_k^2), such as a random symmetric function, keeps its row c
+as :attr:`Integrand.coef`; for a set of such functions the check writes the
+product and the powers as exp of one matrix, (sum_j c_j; p_j c_j), times the
+squared points.  Any other set (constants, extremal functions) writes
+log f_j into the rows, which the check turns into the product
 exp(sum_j log f_j) and the powers exp(p_j log f_j) in place.
 
 Estimates carry the plain MC standard error (sample standard deviation /
@@ -54,7 +52,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -115,66 +112,29 @@ class Integrand:
     block).  Functions are assumed even in each coordinate; nothing
     enforces either claim, but the verification records flag integrands
     whose symmetry is untagged.
+
+    ``coef``, when set, is the row c of a function exp(sum_k c_k x_k^2)
+    whose ``eval`` computes exactly that; the Hoelder check evaluates a set
+    of such functions from their rows instead of from ``eval``.
     """
 
     n: int
     eval: Callable[[np.ndarray], np.ndarray]
     symmetry_tag: Symmetry | None = None
-
-
-@dataclass(frozen=True)
-class IntegrandStack:
-    """Integrands on one sphere that are evaluated together.
-
-    ``fill(points, out)`` writes the logarithm of the values of member i at
-    the (m, n) points into row i of the (len(stack), m) array ``out`` (-inf
-    where the value is 0), so one kernel can share work between the members
-    and write straight into an estimator's rows, where the Hoelder check
-    takes products and powers as exp of sums and multiples.  ``tags[i]`` is
-    member i's symmetry tag, as in :class:`Integrand`.
-
-    ``coef``, when set, is the (len(stack), n) matrix C of a stack whose
-    member i is exp(sum_k C[i, k] x_k^2) (see :meth:`from_coef`); the
-    Hoelder check evaluates such a stack from C instead of from ``fill``.
-    """
-
-    n: int
-    tags: tuple[Symmetry | None, ...]
-    fill: Callable[[np.ndarray, np.ndarray], None]
     coef: np.ndarray | None = field(default=None, compare=False)
-
-    def __len__(self) -> int:
-        return len(self.tags)
-
-    @classmethod
-    def of(cls, fs: Sequence[Integrand]) -> "IntegrandStack":
-        """The stack that evaluates each of ``fs`` in turn and writes the
-        logarithm of its values.  A negative value has no logarithm: its
-        NaN makes the estimator raise :class:`NonFiniteSampleError`."""
-        n = fs[0].n
-        for j, f in enumerate(fs):
-            if f.n != n:
-                raise ValueError(f"integrand {j} has dimension {f.n}, integrand 0 has {n}")
-
-        def fill(pts: np.ndarray, out: np.ndarray) -> None:
-            with np.errstate(divide="ignore"):  # log 0 = -inf, and exp(-inf) = 0
-                for f, row in zip(fs, out):
-                    np.log(f.eval(pts), out=row)
-
-        return cls(n=n, tags=tuple(f.symmetry_tag for f in fs), fill=fill)
-
-    @classmethod
-    def from_coef(cls, tags: tuple[Symmetry | None, ...],
-                  coef: np.ndarray) -> "IntegrandStack":
-        """The stack of the functions exp(sum_k coef[i, k] x_k^2), which
-        keeps ``coef``."""
-        return cls(n=coef.shape[1], tags=tags, fill=partial(_square_forms, coef), coef=coef)
 
 
 def _square_forms(coef: np.ndarray, pts: np.ndarray, out: np.ndarray) -> None:
-    """out[i] = sum_k coef[i, k] x_k^2 at the (m, n) points.  For m >= 2
-    that is one multiply and one add per term, k ascending, so the bits of
-    a row depend on neither the other rows nor the other points."""
+    """out[i] = sum_k coef[i, k] x_k^2 at the (m, n) points: one multiply
+    and one add per term, k ascending, so the bits of a row depend on
+    neither the other rows nor the other points."""
+    if len(pts) == 1:
+        # einsum sums a one-column product in another order; two copies of
+        # the point take the loop of every longer chunk
+        two = np.empty((len(coef), 2))
+        _square_forms(coef, np.repeat(pts, 2, axis=0), two)
+        out[:] = two[:, :1]
+        return
     # numpy's own einsum loop, not BLAS (np.matmul): a BLAS product changed
     # its last bits with its thread count and with the slice of its
     # operands, so seeded records would have depended on the machine
@@ -509,56 +469,55 @@ def holder_verify(fams: Sequence[Symmetry], fs: Sequence[Integrand],
     return holder_verify_sets(fams, [fs], ps, cfg)[0]
 
 
-def holder_verify_sets(fams: Sequence[Symmetry],
-                       fs_sets: Sequence[Sequence[Integrand] | IntegrandStack],
+def holder_verify_sets(fams: Sequence[Symmetry], fs_sets: Sequence[Sequence[Integrand]],
                        ps: Sequence[float], cfg: QuadConfig) -> list[VerificationRecord]:
     """:func:`holder_verify` for several function sets of one family.
 
-    Each set is an :class:`IntegrandStack` or a list of integrands, which
-    is evaluated as the stack :meth:`IntegrandStack.of` makes of it.  Both
-    sides of every check come from one sample stream: set k adds the
+    Both sides of every check come from one sample stream: set k adds the
     product and the p-th powers of its functions as 1 + len(ps) series of a
-    single estimator pass.  A stack writes the logarithms of its values
-    straight into the engine's rows; the product and the powers are then
-    taken there in place, as exp of their sum and of their multiples.  A
-    stack with ``coef`` writes all its 1 + len(ps) rows instead as exp of
-    the matrix (coef summed over members; p_j coef[j]) times the squared
-    points.
+    single estimator pass.  A set whose functions all carry a ``coef`` row
+    c_j writes these rows as exp of the matrix (sum_j c_j; p_j c_j) times
+    the squared points.  Any other set writes the logarithms of its values
+    into the rows and takes the product and the powers there in place, as
+    exp of their sum and of their multiples.
     """
     exps = per_function_exponents(fams)
     if len(ps) != len(fams) or any(len(fs) != len(fams) for fs in fs_sets):
         raise ValueError("fams, fs and ps must have equal lengths")
-    stacks = [fs if isinstance(fs, IntegrandStack) else IntegrandStack.of(fs)
-              for fs in fs_sets]
     ps = [float(p) for p in ps]
     for j, (p, e) in enumerate(zip(ps, exps)):
         if p < e - 1e-12:
             raise ValueError(f"p[{j}] = {p} is below the sharp exponent {e}")
     n = fams[0].n
-    for stack in stacks:
-        if stack.n != n:
-            raise ValueError(f"integrands have dimension {stack.n}, family has {n}")
-        for j, (s, tag) in enumerate(zip(fams, stack.tags)):
-            if tag is not None and tag != s:
+    for fs in fs_sets:
+        for j, (s, f) in enumerate(zip(fams, fs)):
+            if f.n != n:
+                raise ValueError(f"integrand {j} has dimension {f.n}, family has {n}")
+            if f.symmetry_tag is not None and f.symmetry_tag != s:
                 raise ValueError(f"integrand {j} is tagged with a different symmetry")
     flags = [[f"integrand {j} untagged: symmetry and evenness not checked"
-              for j, tag in enumerate(stack.tags) if tag is None]
-             for stack in stacks]
+              for j, f in enumerate(fs) if f.symmetry_tag is None]
+             for fs in fs_sets]
 
     width = 1 + len(ps)
-    mats = [None if stack.coef is None
-            else np.vstack([stack.coef.sum(axis=0), np.asarray(ps)[:, None] * stack.coef])
-            for stack in stacks]
+    mats = []
+    for fs in fs_sets:
+        if any(f.coef is None for f in fs):
+            mats.append(None)
+        else:
+            coef = np.array([f.coef for f in fs])
+            mats.append(np.vstack([coef.sum(axis=0), np.asarray(ps)[:, None] * coef]))
 
     def fill(pts: np.ndarray, out: np.ndarray) -> None:
-        for stack, mat, rows in zip(stacks, mats, out.reshape(len(stacks), width, len(pts))):
+        for fs, mat, rows in zip(fs_sets, mats, out.reshape(len(fs_sets), width, len(pts))):
             if mat is None:
-                stack.fill(pts, rows[1:])
+                for f, row in zip(fs, rows[1:]):
+                    np.log(f.eval(pts), out=row)  # log 0 = -inf, and exp(-inf) = 0
                 _product_and_powers(rows, ps)
             else:
                 _square_forms(mat, pts, rows)
                 np.exp(rows, out=rows)
 
-    ests = mc_sphere_estimates(n, cfg, fill, len(stacks) * width)
+    ests = mc_sphere_estimates(n, cfg, fill, len(fs_sets) * width)
     return [_holder_record(ests[k * width:(k + 1) * width], ps, flags[k])
-            for k in range(len(stacks))]
+            for k in range(len(fs_sets))]

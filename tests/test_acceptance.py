@@ -33,7 +33,7 @@ from spherebl import (
     norm_boundary_scan,
     overcount_factor,
     per_function_exponents,
-    random_block_invariants,
+    random_block_invariant,
     sharpness_experiment,
     uniform_exponent,
 )
@@ -130,8 +130,8 @@ def _holder_records(run: int = 0):
         p = float(balanced_exponent(t))
         cfg = QuadConfig(samples=1_000_000, seed=555, shards=4)
         # the 20 function sets share one sample stream, so one pass checks them all
-        fs_sets = [random_block_invariants(fams, [90_000 + 1000 * rep + j
-                                                  for j in range(len(fams))])
+        fs_sets = [[random_block_invariant(s, 90_000 + 1000 * rep + j)
+                    for j, s in enumerate(fams)]
                    for rep in range(20)]
         out[t.lengths] = holder_verify_sets(fams, fs_sets, [p] * len(fams), cfg)
     return out

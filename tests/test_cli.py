@@ -17,11 +17,14 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from spherebl import (ExtremalParams, constant_integrand, enumerate_symmetries,
+                      extremal_function, holder_verify_sets, per_function_exponents,
+                      random_block_invariant)
 from spherebl.cli import Scenario, emit_csv, main, run
 from spherebl.errors import InputError
 from spherebl.exponents import BalancedType, ExponentReport
 from spherebl.extremal import DivergenceReport, GrowthReport, NormScanReport
-from spherebl.quadrature import Estimate, VerificationRecord
+from spherebl.quadrature import Estimate, QuadConfig, VerificationRecord
 from spherebl.symmetry import EdgeSet, Symmetry
 from oracles import record_json, written
 
@@ -192,6 +195,27 @@ class TestVerifyHolder:
             assert main(["verify-holder", path, "--json"]) == 0
             results.append(json.loads(capsys.readouterr().out)["results"])
         assert results[0] == results[1]
+
+    @pytest.mark.parametrize("functions, make", [
+        # the CLI seeds function j of repetition rep with seed + 977 rep + 101 j
+        ({"kind": "random-symmetric", "seed": 3, "amplitude": 0.5},
+         lambda s, j, rep: random_block_invariant(s, 3 + 977 * rep + 101 * j, 0.5)),
+        ({"kind": "constant", "value": 2.0}, lambda s, j, rep: constant_integrand(4, 2.0, s)),
+        ({"kind": "extremal", "gamma": 0.2, "trunc": 0.05},
+         lambda s, j, rep: extremal_function(s, ExtremalParams(0.2, 0.05))),
+    ], ids=["random-symmetric", "constant", "extremal"])
+    def test_library_lists_give_the_records(self, tmp_path, capsys, functions, make):
+        quad = QuadConfig(samples=20_000, seed=4, shards=3)
+        path = write(tmp_path, "s.json", {
+            "type": {"n": 4, "lengths": [2, 2]}, "count": 2, "functions": functions,
+            "quad": {"samples": quad.samples, "seed": quad.seed, "shards": quad.shards}})
+        assert main(["verify-holder", path, "--json"]) == 0
+        records = json.loads(capsys.readouterr().out)["results"]["records"]
+        fams = enumerate_symmetries(BalancedType(4, (2, 2)))
+        ps = [float(max(per_function_exponents(fams)))] * len(fams)
+        sets = [[make(s, j, rep) for j, s in enumerate(fams)] for rep in range(2)]
+        assert [json.loads(written(rec)) for rec in
+                holder_verify_sets(fams, sets, ps, quad)] == records
 
     def test_deterministic_rerun(self, tmp_path, capsys):
         path = self.scenario(tmp_path)

@@ -15,7 +15,6 @@ from spherebl import (
     EdgeSet,
     Estimate,
     Integrand,
-    IntegrandStack,
     MultiIndex,
     NonFiniteSampleError,
     QuadConfig,
@@ -29,7 +28,6 @@ from spherebl import (
     mc_sphere_estimates,
     per_function_exponents,
     random_block_invariant,
-    random_block_invariants,
     sample_sphere,
 )
 from oracles import square_forms_oracle, written
@@ -398,31 +396,34 @@ class TestHolder:
         assert fused == [holder_verify(fams, fs, [2.0] * 3, CFG) for fs in sets]
 
     def test_stack_equals_list_of_integrands(self):
-        # the list's rows are log(exp(S)), the stack's S itself
+        # a list of random symmetric functions is evaluated as exp of their
+        # stacked coefficient matrix, summed term by term
         fams = enumerate_symmetries(BalancedType(4, (2,)))
-        seeds = [40 + 7 * j for j in range(len(fams))]
-        sets = [[random_block_invariant(s, seed=sd) for s, sd in zip(fams, seeds)],
-                random_block_invariants(fams, seeds)]
-        listed, stacked = holder_verify_sets(fams, sets, [6.0] * len(fams), CFG)
-        assert listed.passed == stacked.passed
-        for a, b in zip([listed.lhs, *listed.norms], [stacked.lhs, *stacked.norms]):
-            assert a.value == pytest.approx(b.value, rel=1e-13, abs=0)
-            assert a.stderr == pytest.approx(b.stderr, rel=1e-13, abs=0)
-        assert stacked == holder_verify(fams, sets[1], [6.0] * len(fams), CFG)
+        ps = [6.0] * len(fams)
+        fs = [random_block_invariant(s, seed=40 + 7 * j) for j, s in enumerate(fams)]
+        coef = np.array([f.coef for f in fs])
+        mat = np.vstack([coef.sum(axis=0), np.asarray(ps)[:, None] * coef])
+
+        def stacked(pts, out):
+            out[...] = np.exp(square_forms_oracle(mat, pts))
+
+        ests = mc_sphere_estimates(4, CFG, stacked, 1 + len(fams))
+        assert holder_verify(fams, fs, ps, CFG) == quadrature._holder_record(ests, ps, [])
 
     def test_log_space_matches_value_domain_at_p_78(self):
         fams = enumerate_symmetries(BalancedType(6, (2, 2)))
         ps = [78.0] * len(fams)
-        stack = random_block_invariants(fams, [3 + 101 * j for j in range(len(fams))])
+        coef = np.array([random_block_invariant(s, 3 + 101 * j).coef
+                         for j, s in enumerate(fams)])
         cfg = QuadConfig(samples=20_000, seed=5, shards=2)
         width = 1 + len(fams)
 
         def log_space(pts, out):
-            stack.fill(pts, out[1:])
+            out[1:] = square_forms_oracle(coef, pts)
             quadrature._product_and_powers(out, ps)
 
         def value_domain(pts, out):
-            stack.fill(pts, out[1:])
+            out[1:] = square_forms_oracle(coef, pts)
             np.exp(out[1:], out=out[1:])
             np.multiply.reduce(out[1:], axis=0, out=out[0])
             out[1:] **= 78.0
@@ -451,11 +452,12 @@ class TestHolder:
 
         ps = [float(p) for p in ps]
         fams = enumerate_symmetries(BalancedType(5, (2,)))[:5]
-        stack = random_block_invariants(fams, [11 + 3 * j for j in range(5)])
+        coef = np.array([random_block_invariant(s, 11 + 3 * j).coef
+                         for j, s in enumerate(fams)])
         lengths = []
 
         def fill(pts, out):
-            stack.fill(pts, out[1:])
+            out[1:] = square_forms_oracle(coef, pts)
             ref = out.copy()
             per_run(ref, ps)
             quadrature._product_and_powers(out, ps)
@@ -467,8 +469,9 @@ class TestHolder:
         assert lengths == [1024, 1024, 452]
 
     @staticmethod
-    def holder_rows(fams, stack, ps, pts):
-        """The rows the Hoelder check's fill writes for ``stack`` at ``pts``."""
+    def holder_rows(fams, fs, ps, pts):
+        """The rows the Hoelder check's fill writes for the functions ``fs``
+        at ``pts``."""
         class Captured(Exception):
             pass
 
@@ -477,7 +480,7 @@ class TestHolder:
 
         with pytest.MonkeyPatch.context() as mp, pytest.raises(Captured) as caught:
             mp.setattr(quadrature, "mc_sphere_estimates", capture)
-            holder_verify_sets(fams, [stack], ps, CFG)
+            holder_verify_sets(fams, [fs], ps, CFG)
         out = np.empty((1 + len(ps), len(pts)))
         caught.value.args[0](pts, out)
         return out
@@ -486,16 +489,17 @@ class TestHolder:
     def test_coefficient_rows_match_the_log_rows(self, mixed):
         fams = enumerate_symmetries(BalancedType(6, (2, 2)))
         ps = [78.0 + (3.5 * (j % 4) if mixed else 0.0) for j in range(len(fams))]
-        stack = random_block_invariants(fams, [3 + 101 * j for j in range(len(fams))])
+        fs = [random_block_invariant(s, 3 + 101 * j) for j, s in enumerate(fams)]
         pts = next(iter(sample_sphere(6, QuadConfig(samples=5000, seed=8, shards=1))))
-        fused = self.holder_rows(fams, stack, ps, pts)
-        logged = self.holder_rows(fams, dataclasses.replace(stack, coef=None), ps, pts)
+        fused = self.holder_rows(fams, fs, ps, pts)
+        logged = self.holder_rows(fams, [dataclasses.replace(f, coef=None) for f in fs],
+                                  ps, pts)
         assert np.all(np.isfinite(fused)) and np.all(fused > 0)
         assert np.allclose(fused, logged, rtol=1e-13, atol=0)
 
     def test_coefficient_rows_do_not_depend_on_the_workers(self, monkeypatch):
         fams = enumerate_symmetries(BalancedType(6, (2, 2)))
-        sets = [random_block_invariants(fams, [5 + 101 * j + 977 * k for j in range(len(fams))])
+        sets = [[random_block_invariant(s, 5 + 101 * j + 977 * k) for j, s in enumerate(fams)]
                 for k in range(2)]
         cfg = QuadConfig(samples=30_000, seed=611, shards=4)
         records = []
@@ -510,11 +514,30 @@ class TestHolder:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rec = holder_verify(fams, fs, [2.0] * 3, CFG)
-            out = np.empty((3, 10))
-            IntegrandStack.of(fs).fill(np.eye(3)[[0] * 10], out)
+            with np.errstate(divide="ignore"):  # as the engine runs the fill
+                rows = self.holder_rows(fams, fs, [2.0] * 3, np.eye(3)[[0] * 10])
         assert rec.passed and rec.lhs.value == 0.0
         assert [e.value for e in rec.norms] == [0.0] * 3
-        assert np.all(out == -np.inf)
+        assert np.all(rows == 0.0)
+
+    def test_sets_reject_mixed_dimensions(self):
+        fams = enumerate_symmetries(BalancedType(3, (2,)))
+        fs = [constant_integrand(3, tag=s) for s in fams]
+        mixed = [fs[0], constant_integrand(4), fs[2]]
+        with pytest.raises(ValueError, match="integrand 1 has dimension 4, family has 3"):
+            holder_verify_sets(fams, [fs, mixed], [2.0] * 3, CFG)
+
+    def test_constant_among_random_functions_takes_the_log_route(self):
+        fams = enumerate_symmetries(BalancedType(4, (2, 2)))
+        ps = [4.0] * len(fams)
+        fs = [random_block_invariant(s, seed=60 + j) for j, s in enumerate(fams)]
+        fs[2] = constant_integrand(4, 1.5, tag=fams[2])
+        rec = holder_verify(fams, fs, ps, CFG)
+        assert rec.passed
+        assert rec.norms[2].value == pytest.approx(1.5, rel=1e-12)
+        # the random functions' rows are the logarithms of their values
+        logged = [dataclasses.replace(f, coef=None) for f in fs]
+        assert rec == holder_verify(fams, logged, ps, CFG)
 
     def test_negative_function_is_non_finite(self):
         fams = enumerate_symmetries(BalancedType(3, (2,)))
@@ -578,14 +601,13 @@ class TestRandomBlockInvariants:
 
     @pytest.mark.parametrize("amplitude", [1.0, 0.25])
     def test_rows_equal_single_functions_bit_for_bit(self, amplitude):
-        seeds = [5, 17, 2**40]
-        stack = random_block_invariants(self.FAMS, seeds, amplitude)
+        fs = [random_block_invariant(s, seed, amplitude)
+              for s, seed in zip(self.FAMS, [5, 17, 2**40])]
         pts = self.points()
-        out = np.empty((len(stack), len(pts)))
-        stack.fill(pts, out)
-        for row, s, seed in zip(out, self.FAMS, seeds):
-            single = random_block_invariant(s, seed, amplitude).eval(pts)
-            assert np.array_equal(np.exp(row), single)  # rows hold log f
+        out = np.empty((len(fs), len(pts)))
+        quadrature._square_forms(np.array([f.coef for f in fs]), pts, out)
+        for row, f in zip(out, fs):
+            assert np.array_equal(np.exp(row), f.eval(pts))  # rows hold log f
 
     def test_single_function_keeps_its_formula(self):
         s = self.FAMS[1]
@@ -598,21 +620,16 @@ class TestRandomBlockInvariants:
         assert np.allclose(random_block_invariant(s, 9).eval(pts), expected,
                            rtol=1e-14, atol=0)
 
-    def test_stack_is_tagged(self):
-        stack = random_block_invariants(self.FAMS, [1, 2, 3])
-        assert isinstance(stack, IntegrandStack)
-        assert stack.n == 10 and stack.tags == tuple(self.FAMS) and len(stack) == 3
-        assert stack.coef.shape == (3, 10)
-
     @pytest.mark.parametrize("fams", [FAMS, enumerate_symmetries(BalancedType(6, (2, 2)))],
                              ids=["n10", "holder-wide"])
     def test_rows_equal_the_term_by_term_oracle(self, monkeypatch, fams):
-        stack = random_block_invariants(fams, [7 + 13 * j for j in range(len(fams))])
+        coef = np.array([random_block_invariant(s, 7 + 13 * j).coef
+                         for j, s in enumerate(fams)])
         lengths = []
 
         def fill(pts, out):
-            stack.fill(pts, out)
-            assert out.tobytes() == square_forms_oracle(stack.coef, pts).tobytes()
+            quadrature._square_forms(coef, pts, out)
+            assert out.tobytes() == square_forms_oracle(coef, pts).tobytes()
             lengths.append(len(pts))
 
         monkeypatch.setattr(quadrature, "_CHUNK_BUDGET", 1)  # chunks of 1024 points
@@ -620,16 +637,29 @@ class TestRandomBlockInvariants:
         mc_sphere_estimates(fams[0].n, cfg, fill, len(fams))
         assert lengths == [1024, 1024, 452]
 
+    @pytest.mark.parametrize("fams", [FAMS, enumerate_symmetries(BalancedType(6, (2, 2)))],
+                             ids=["n10", "holder-wide"])
+    def test_point_alone_equals_the_batch(self, fams):
+        fs = [random_block_invariant(s, 7 + 13 * j) for j, s in enumerate(fams)]
+        coef = np.array([f.coef for f in fs])
+        pts = next(iter(sample_sphere(fams[0].n, QuadConfig(samples=200, seed=4, shards=1))))
+        batch = np.empty((len(fs), len(pts)))
+        quadrature._square_forms(coef, pts, batch)
+        alone = np.empty((len(fs), 1))
+        for i in range(len(pts)):
+            quadrature._square_forms(coef, pts[i:i + 1], alone)
+            assert alone[:, 0].tobytes() == batch[:, i].tobytes()
+        for f in fs:
+            single = np.concatenate([f.eval(pts[i:i + 1]) for i in range(len(pts))])
+            assert single.tobytes() == f.eval(pts).tobytes()
+
     def test_coefficients_are_the_draws(self):
         s = self.FAMS[1]  # blocks {1, 2} and {3, 4}, then free 5..10
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(9)))
         a = rng.uniform(-1.0, 1.0, size=8)
-        coef = random_block_invariants([s], [9]).coef
-        assert coef.tolist() == [[a[0], a[0], a[1], a[1], *a[2:]]]
-
-    def test_adapter_rejects_mixed_dimensions(self):
-        with pytest.raises(ValueError, match="dimension"):
-            IntegrandStack.of([constant_integrand(3), constant_integrand(4)])
+        f = random_block_invariant(s, 9)
+        assert f.n == 10 and f.symmetry_tag == s
+        assert f.coef.tolist() == [a[0], a[0], a[1], a[1], *a[2:]]
 
 
 class TestBallSampling:
