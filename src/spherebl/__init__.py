@@ -8,16 +8,7 @@ verify the inequalities and exhibit their sharpness.
 __version__ = "0.1.0"
 
 from .enumeration import canonical_classes, enumerate_symmetries, iter_symmetries
-from .errors import (
-    CapExceededError,
-    DegenerateFamilyError,
-    DimensionMismatchError,
-    EmptySymmetryError,
-    InputError,
-    NonFiniteSampleError,
-    NonPositiveDeltaError,
-    NotMaximalError,
-)
+from .errors import CapExceededError, InputError, NonFiniteSampleError
 from .exponents import (
     BalancedType,
     ExponentReport,

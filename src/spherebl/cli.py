@@ -63,19 +63,12 @@ from .symmetry import (EdgeSet, MultiIndex, Symmetry, _check_dimension, _check_e
 
 
 @dataclass(frozen=True)
-class Scenario:
-    """A mode plus its validated JSON payload."""
-
-    mode: str
-    payload: dict
-
-
-@dataclass(frozen=True)
 class RunRecord:
-    """Self-describing result envelope written by every run; ``results``
-    holds the result objects, which :func:`_write_json` writes as JSON."""
+    """Self-describing result envelope written by every run: ``scenario`` is
+    the dict ``{"mode", "payload"}`` of the run, and ``results`` holds the
+    result objects, which :func:`_write_json` writes as JSON."""
 
-    scenario: Scenario
+    scenario: dict
     tool_version: str
     rng_algorithm: str
     wall_time_s: float
@@ -550,24 +543,25 @@ _MODES = {
 }
 
 
-def run(scenario: Scenario) -> RunRecord:
-    """Walk a scenario through its mode's entry and wrap the results."""
-    _require(scenario.mode in _MODES, "mode", f"unknown mode {scenario.mode!r}")
-    mode, payload = _MODES[scenario.mode], scenario.payload
+def run(mode: str, payload: Any) -> RunRecord:
+    """Walk the scenario ``payload`` through the entry of ``mode`` and wrap
+    the results."""
+    _require(mode in _MODES, "mode", f"unknown mode {mode!r}")
+    entry = _MODES[mode]
     start = time.perf_counter()
-    if mode.list_field and isinstance(payload, list):
-        values = {mode.list_field: mode.fields[mode.list_field](payload, "")}
+    if entry.list_field and isinstance(payload, list):
+        values = {entry.list_field: entry.fields[entry.list_field](payload, "")}
     else:
-        values = _fields(payload, "", mode.fields, "a JSON object", mode.required,
-                         mode.alternatives)
-    results, passed = mode.run(**values)
-    return RunRecord(scenario, __version__, RNG_ALGORITHM, time.perf_counter() - start,
-                     results, passed)
+        values = _fields(payload, "", entry.fields, "a JSON object", entry.required,
+                         entry.alternatives)
+    results, passed = entry.run(**values)
+    return RunRecord({"mode": mode, "payload": payload}, __version__, RNG_ALGORITHM,
+                     time.perf_counter() - start, results, passed)
 
 
 def emit_csv(record: RunRecord, path: str) -> None:
     """Write the series data of a record as RFC 4180 CSV (header always)."""
-    mode = record.scenario.mode
+    mode = record.scenario["mode"]
     _require(_MODES[mode].csv is not None, "csv", f"mode {mode!r} produces no series data")
     header, rows = _MODES[mode].csv
     try:
@@ -641,7 +635,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             quad = payload.get("quad")
             if override and (quad is None or isinstance(quad, dict)):
                 payload["quad"] = {**(quad or {}), **override}
-        record = run(Scenario(mode=args.mode, payload=payload))
+        record = run(args.mode, payload)
         if args.csv:
             emit_csv(record, args.csv)
         if args.json:

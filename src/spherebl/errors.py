@@ -1,26 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
 
-
-class DimensionMismatchError(ValueError):
-    """Operands live in different ambient dimensions."""
-
-
-class DegenerateFamilyError(ValueError):
-    """Every rotation field annihilates every function: the inequality is
-    vacuous (all functions constant) and no finite exponent is defined."""
-
-
-class NotMaximalError(ValueError):
-    """Edge set is not closed under Lie brackets; run the closure first."""
-
-
-class EmptySymmetryError(ValueError):
-    """An empty edge set carries no symmetry to decompose."""
-
-
-class NonPositiveDeltaError(ValueError):
-    """The local growth exponent came out <= 0, which signals inconsistent
-    per-function exponents supplied by the caller."""
+A bad argument to a library function raises a plain ``ValueError``.  The
+three types below exist because the command line tells them apart:
+``CapExceededError`` is a valid input whose family is too large to list,
+``NonFiniteSampleError`` a valid input whose integrand or sums left the
+float range, and ``InputError`` is what the command line reports, one
+message at one JSON path.
+"""
 
 
 class CapExceededError(RuntimeError):
@@ -38,9 +24,7 @@ class NonFiniteSampleError(RuntimeError):
 
 
 class InputError(ValueError):
-    """Invalid scenario input; ``path`` points into the offending JSON field."""
+    """Invalid scenario input at the JSON path ``path``."""
 
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
-        self.path = path
-        self.reason = message

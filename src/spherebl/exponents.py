@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DegenerateFamilyError, DimensionMismatchError, NonPositiveDeltaError
 from .symmetry import Symmetry, _check_dimension
 
 #: Balanced reports materialise one exponent entry per family member only
@@ -89,7 +88,7 @@ def _family_edge_counts(fams: Sequence[Symmetry]) -> tuple[list[int], list[int]]
     n = fams[0].n
     for s in fams:
         if s.n != n:
-            raise DimensionMismatchError(f"family mixes dimensions {n} and {s.n}")
+            raise ValueError(f"family mixes dimensions {n} and {s.n}")
     edge_bits = [s.edge_bits() for s in fams]
     counts = [len(fams)] * math.comb(n, 2)
     for bits in edge_bits:
@@ -103,7 +102,7 @@ def _family_edge_counts(fams: Sequence[Symmetry]) -> tuple[list[int], list[int]]
 def _uniform(counts: list[int]) -> int:
     p = max(counts)
     if p == 0:
-        raise DegenerateFamilyError(
+        raise ValueError(
             "every field lies in every member; all symmetric functions are constant")
     return p
 
@@ -117,7 +116,7 @@ def _per_function(edge_bits: list[int], counts: list[int]) -> list[int]:
     for j, inside in enumerate(edge_bits):
         p = next((c for c, fields in ranked if fields & ~inside), None)
         if p is None:
-            raise DegenerateFamilyError(
+            raise ValueError(
                 f"family member {j} contains every field; its function is constant")
         out.append(p)
     return out
@@ -205,8 +204,7 @@ def local_delta(fams: Sequence[Symmetry], exps: Sequence[int]) -> Fraction:
             raise ValueError("exponents must be >= 1")
         delta -= Fraction(n - s.alphas[0].weight, p)
     if delta <= 0:
-        raise NonPositiveDeltaError(
-            f"delta = {delta} <= 0; exponents are inconsistent with the family")
+        raise ValueError(f"delta = {delta} <= 0; exponents are inconsistent with the family")
     return delta
 
 
@@ -310,8 +308,8 @@ def all_balanced_types(n: int) -> Iterator[BalancedType]:
         yield BalancedType(n, lengths)
 
 
-def balanced_types_upto(n_max: int, n_min: int = 3) -> Iterator[BalancedType]:
-    for n in range(n_min, n_max + 1):
+def balanced_types_upto(n_max: int) -> Iterator[BalancedType]:
+    for n in range(3, n_max + 1):
         yield from all_balanced_types(n)
 
 
@@ -334,7 +332,7 @@ class ExponentReport:
         if self.p_uniform > self.j_count:
             raise ValueError("the uniform exponent cannot exceed the family size")
         if self.delta <= 0:
-            raise NonPositiveDeltaError(f"delta = {self.delta} <= 0")
+            raise ValueError(f"delta = {self.delta} <= 0")
 
 
 def report_for_type(t: BalancedType) -> ExponentReport:

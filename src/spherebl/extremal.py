@@ -560,8 +560,8 @@ def local_growth_experiment(fams: Sequence[Symmetry], exps: Sequence[int],
                     row += acc
         np.exp(out, out=out)
 
-    lhs = mc_ball_estimates(n, 1.0, cfg, fill, len(r_grid),
-                            volumes=[ball_volume(n, radius) for radius in r_grid])
+    lhs = mc_ball_estimates(n, cfg, fill, len(r_grid),
+                            [ball_volume(n, radius) for radius in r_grid])
 
     tail = max(3, int(math.ceil(len(r_grid) * GROWTH_FIT_TAIL)))
     xs = np.log(np.array(r_grid[-tail:]))

@@ -2,12 +2,13 @@
 product-versus-norms check built on them.
 
 The estimators are :func:`mc_sphere_estimates` and
-:func:`mc_ball_estimates`; the check is :func:`holder_verify`.
+:func:`mc_ball_estimates` (unit ball, one volume per series); the check is
+:func:`holder_verify`.
 
 One function, :func:`_shard_streams`, draws every point that an estimator,
 :func:`sample_sphere` or an experiment sees.  Points on the sphere are
 normalized standard Gaussian vectors, which are exactly uniform in every
-dimension.  Points in a ball are such a direction times radius * U^(1/dim),
+dimension.  Points in the unit ball are such a direction times U^(1/dim),
 with the radii U drawn from a sibling stream so that the points do not
 depend on how a shard is cut into chunks.  Work is split into shards;
 shard k draws from its own counter-based stream (numpy Philox keyed by
@@ -182,21 +183,21 @@ def _sphere_chunk(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
 
 
 def _shard_streams(cfg: QuadConfig, dim: int, chunk: int,
-                   radius: float | None = None) -> Iterator[Iterator[np.ndarray]]:
+                   ball: bool = False) -> Iterator[Iterator[np.ndarray]]:
     """The point chunks of every shard holding samples, in shard order: the
     one function that draws points.
 
     Shard k draws from the stream keyed by (seed, k), ``chunk`` points at a
-    time: unit vectors in R^dim, or, given a ``radius``, points uniform in
-    that ball, each a uniform direction times radius * U^(1/dim) with the
-    radii U from the sibling stream (seed, k, 1), so the points do not
-    depend on the chunk size.  Each shard's chunks are drawn lazily, by
-    whoever iterates them.
+    time: unit vectors in R^dim, or, given ``ball``, points uniform in the
+    unit ball, each a uniform direction times U^(1/dim) with the radii U
+    from the sibling stream (seed, k, 1), so the points do not depend on
+    the chunk size.  Each shard's chunks are drawn lazily, by whoever
+    iterates them.
     """
 
     def chunks(shard: int, count: int) -> Iterator[np.ndarray]:
         rng = _shard_rng(cfg.seed, shard)
-        urng = None if radius is None else _shard_rng(cfg.seed, shard, 1)
+        urng = _shard_rng(cfg.seed, shard, 1) if ball else None
         for start in range(0, count, chunk):
             m = min(chunk, count - start)
             if urng is None:
@@ -206,7 +207,7 @@ def _shard_streams(cfg: QuadConfig, dim: int, chunk: int,
                 # so a separate scale or result array would stay allocated
                 # while the chunk is evaluated
                 g = rng.standard_normal((m, dim))
-                g *= (radius * urng.random(m) ** (1.0 / dim)
+                g *= (urng.random(m) ** (1.0 / dim)
                       / np.sqrt((g * g).sum(axis=1)))[:, None]
                 yield g
 
@@ -266,19 +267,18 @@ def _run_shard(points: Iterable[np.ndarray], fill, num_series: int, chunk: int):
     return acc
 
 
-def _mc_estimates(cfg: QuadConfig, dim: int, fill, num_series: int,
-                  radius: float | None = None,
+def _mc_estimates(cfg: QuadConfig, dim: int, fill, num_series: int, ball: bool = False,
                   scales: Sequence[float] | None = None) -> list[Estimate]:
     """Shared engine: mean of each value series over the points of
-    :func:`_shard_streams` (on the sphere, or in the ball of ``radius``),
-    times its scale (1 when ``scales`` is None).
+    :func:`_shard_streams` (on the sphere, or in the unit ball given
+    ``ball``), times its scale (1 when ``scales`` is None).
 
     Shard partials are reduced in index order for determinism; the value is
     the ordered sum over all samples divided by their count.
     """
     # no shard holds more than ceil(samples / shards) points
     chunk = min(_chunk_size(dim, num_series), -(-cfg.samples // cfg.shards))
-    streams = list(_shard_streams(cfg, dim, chunk, radius))
+    streams = list(_shard_streams(cfg, dim, chunk, ball))
 
     def job(points):
         return _run_shard(points, fill, num_series, chunk)
@@ -350,23 +350,19 @@ def ball_volume(dim: int, radius: float = 1.0) -> float:
     return volume
 
 
-def mc_ball_estimates(dim: int, radius: float, cfg: QuadConfig, fill,
-                      num_series: int,
-                      volumes: Sequence[float] | None = None) -> list[Estimate]:
-    """Like :func:`mc_sphere_estimates` but uniform over the ball of the
-    given radius, scaled by its volume (so the estimate targets the plain
-    Lebesgue integral).  ``fill`` follows the same protocol.
+def mc_ball_estimates(dim: int, cfg: QuadConfig, fill, num_series: int,
+                      volumes: Sequence[float]) -> list[Estimate]:
+    """Like :func:`mc_sphere_estimates` but on the unit ball, one volume
+    per series: the mean of series i over points uniform in the unit ball
+    of R^dim, times ``volumes[i]``.  ``fill`` follows the same protocol.
 
-    ``volumes`` gives each series its own volume factor instead: a fill
-    that evaluates series i at R_i times the points of the unit ball, with
-    ``volumes[i] = ball_volume(dim, R_i)``, estimates the integral over the
-    ball of radius R_i for every i from one draw.
+    A fill that evaluates series i at R_i times the points of the unit
+    ball, with ``volumes[i] = ball_volume(dim, R_i)``, estimates the plain
+    Lebesgue integral over the ball of radius R_i for every i from one draw.
     """
     if dim < 1:
         raise ValueError("ball sampling needs dimension >= 1")
-    if volumes is None:
-        volumes = [ball_volume(dim, radius)] * num_series
-    return _mc_estimates(cfg, dim, fill, num_series, radius, scales=volumes)
+    return _mc_estimates(cfg, dim, fill, num_series, ball=True, scales=volumes)
 
 
 def sample_sphere(n: int, cfg: QuadConfig) -> Iterator[np.ndarray]:

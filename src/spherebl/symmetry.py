@@ -43,8 +43,6 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError, EmptySymmetryError, NotMaximalError
-
 #: A coordinate mask has one bit per coordinate and fits one machine word
 #: below this bound; counts use Python integers and never overflow.
 MAX_DIMENSION = 64
@@ -233,7 +231,7 @@ class Symmetry:
         union, last = 0, self.n
         for a in self.alphas:
             if a.n != self.n:
-                raise DimensionMismatchError(
+                raise ValueError(
                     f"block of dimension {a.n} inside symmetry of dimension {self.n}")
             weight = a.mask.bit_count()
             if weight < 2:
@@ -280,17 +278,15 @@ def _canonical_order(alphas: Iterable[MultiIndex]) -> list[MultiIndex]:
 def decompose(A: EdgeSet) -> Symmetry:
     """Block decomposition of a maximal edge set.
 
-    Raises :class:`EmptySymmetryError` on the empty set and
-    :class:`NotMaximalError` when ``A`` is not bracket-closed; closing is
-    left to an explicit :func:`lie_closure` call so that no input is
-    silently altered.  The cliques on the returned blocks reproduce ``A``
-    exactly.
+    Raises ValueError on the empty set and when ``A`` is not
+    bracket-closed; closing is left to an explicit :func:`lie_closure`
+    call so that no input is silently altered.  The cliques on the
+    returned blocks reproduce ``A`` exactly.
     """
     if not A.bits:
-        raise EmptySymmetryError(f"no edges to decompose in dimension {A.n}")
+        raise ValueError(f"no edges to decompose in dimension {A.n}")
     comps = _components(A)
     if _closure_bits(comps) != A.bits:
-        raise NotMaximalError(
-            "edge set is not bracket-closed; apply lie_closure first")
+        raise ValueError("edge set is not bracket-closed; apply lie_closure first")
     blocks = [MultiIndex(A.n, c) for c in comps if c.bit_count() >= 2]
     return Symmetry(A.n, _canonical_order(blocks))

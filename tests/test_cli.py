@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from spherebl import (ExtremalParams, constant_integrand, enumerate_symmetries,
                       extremal_function, holder_verify_sets, per_function_exponents,
                       random_block_invariant)
-from spherebl.cli import Scenario, emit_csv, main, run
+from spherebl.cli import emit_csv, main, run
 from spherebl.errors import InputError
 from spherebl.exponents import BalancedType, ExponentReport
 from spherebl.extremal import DivergenceReport, GrowthReport, NormScanReport
@@ -302,10 +302,10 @@ class TestVerifyLocal:
 class TestRunAndRecord:
     def test_unknown_mode(self):
         with pytest.raises(InputError):
-            run(Scenario(mode="nope", payload={}))
+            run("nope", {})
 
     def test_record_embeds_scenario(self):
-        record = run(Scenario(mode="exponents", payload={"n": 3, "lengths": [2]}))
+        record = run("exponents", {"n": 3, "lengths": [2]})
         text = written(record)
         d = json.loads(text)
         assert d["scenario"]["payload"] == {"n": 3, "lengths": [2]}
@@ -313,12 +313,28 @@ class TestRunAndRecord:
         assert json.dumps(d, indent=2) == text  # JSON round trip, bytes included
 
     def test_csv_rejected_without_series(self, tmp_path):
-        record = run(Scenario(mode="exponents", payload={"n": 3, "lengths": [2]}))
+        record = run("exponents", {"n": 3, "lengths": [2]})
         with pytest.raises(InputError):
             emit_csv(record, str(tmp_path / "x.csv"))
 
     def test_missing_file(self, capsys):
         assert main(["decompose", "/nonexistent/x.json"]) == 1
+
+    MIXED = [{"n": 3, "edges": [[1, 2]]}, {"n": 4, "edges": [[1, 2]]}]
+
+    @pytest.mark.parametrize("mode, payload, line", [
+        ("decompose", {"n": 4, "edges": [[1, 2], [2, 3]]},
+         "edges: edge set is not bracket-closed; apply lie_closure first"),
+        ("decompose", {"n": 4, "edges": []}, "edges: no edges to decompose in dimension 4"),
+        ("exponents", [{"n": 3, "edges": [[1, 2], [1, 3], [2, 3]]}],
+         "scenario: family member 0 contains every field; its function is constant"),
+        ("exponents", MIXED, "scenario: family mixes dimensions 3 and 4"),
+        ("verify-holder", {"families": MIXED}, "families: family mixes dimensions 3 and 4"),
+    ], ids=["not-closed", "no-edges", "full-graph", "mixed-root", "mixed-families"])
+    def test_library_value_error_is_reported_at_its_path(self, tmp_path, capsys, mode,
+                                                         payload, line):
+        assert main([mode, write(tmp_path, "s.json", payload)]) == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
 
     def test_directory_as_scenario(self, tmp_path, capsys):
         assert main(["exponents", str(tmp_path)]) == 1
@@ -752,7 +768,7 @@ class TestRecordWriter:
     @pytest.mark.parametrize("case", list(RECORDS))
     def test_record_of_every_mode(self, case, tmp_path, capsys):
         mode, payload = self.RECORDS[case]
-        record = run(Scenario(mode, copy.deepcopy(payload)))
+        record = run(mode, copy.deepcopy(payload))
         assert written(record) == record_json(record)
         main([mode, write(tmp_path, "s.json", payload), "--json"])
         out = self.WALL_TIME.sub("", capsys.readouterr().out)

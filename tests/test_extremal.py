@@ -11,6 +11,7 @@ from spherebl import (
     ExtremalParams,
     QuadConfig,
     balanced_exponent,
+    ball_volume,
     critical_gamma,
     decompose,
     default_eps_grid,
@@ -277,9 +278,9 @@ class TestLocalGrowth:
         estimator = extremal.mc_ball_estimates
         fills = []
 
-        def spy(dim, radius, cfg, fill, num_series, volumes):
+        def spy(dim, cfg, fill, num_series, volumes):
             fills.append(fill)
-            return estimator(dim, radius, cfg, fill, num_series, volumes=volumes)
+            return estimator(dim, cfg, fill, num_series, volumes)
 
         monkeypatch.setattr(extremal, "mc_ball_estimates", spy)
         rep = local_growth_experiment(fams, per_function_exponents(fams), eta=0.1,
@@ -621,19 +622,19 @@ class TestFusedGrids:
         free = [[i - 1 for i in s.alphas[0].complement().support()] for s in fams]
 
         def fill_at(radius):
-            # the points of the ball of radius R, whose projection radii
-            # divided by R are the unit ball's to the bit for dyadic R
+            # R times the points of the unit ball are the points of the
+            # ball of radius R, so member J's profile reads R r_J
             def fill(pts, out):
                 row = np.zeros(len(pts))
                 for cols, s in zip(free, rep.profile_exponents):
-                    r = np.sqrt((pts[:, cols] ** 2).sum(axis=1)) / radius
+                    r = np.sqrt((pts[:, cols] ** 2).sum(axis=1))
                     log_r = np.log(np.maximum(r, np.finfo(float).tiny))
                     row = row + -s * np.maximum(np.log(radius) + log_r, 0.0)
                 out[0] = np.exp(row)
             return fill
 
         for k, radius in enumerate(grid):
-            ref = mc_ball_estimates(3, radius, cfg, fill_at(radius), 1)[0]
+            ref = mc_ball_estimates(3, cfg, fill_at(radius), 1, [ball_volume(3, radius)])[0]
             assert rep.lhs[k] == ref
 
     def test_worker_width_does_not_change_fused_runs(self, monkeypatch):

@@ -66,7 +66,7 @@ def ball_reduced_integral(f, alpha, cfg):
         weight = np.maximum(rest, np.finfo(float).tiny) ** expo if expo < 0 else rest ** expo
         out[0] = f.eval(pts) * weight
 
-    return mc_ball_estimates(k, 1.0, cfg, fill, 1)[0]
+    return mc_ball_estimates(k, cfg, fill, 1, [ball_volume(k)])[0]
 
 
 def block_rotation_residual(f, points=256):
@@ -670,7 +670,7 @@ class TestBallSampling:
         def fill(y, out):
             (y * y).sum(axis=1, out=out[0])
 
-        est = mc_ball_estimates(d, 1.0, CFG, fill, 1)[0]
+        est = mc_ball_estimates(d, CFG, fill, 1, [ball_volume(d)])[0]
         target = ball_volume(d) * d / (d + 2)
         assert within(est, target)
 
@@ -681,7 +681,7 @@ class TestBallSampling:
             out[...] = np.floor(64 * y).T
 
         def run():
-            return mc_ball_estimates(3, 2.0, CFG, fill, 3)
+            return mc_ball_estimates(3, CFG, fill, 3, [ball_volume(3, 2.0)] * 3)
 
         reference = run()
         for budget in (1, 20_000, 100_003):  # 1024-point chunks and others
@@ -692,5 +692,6 @@ class TestBallSampling:
                 assert e.stderr == pytest.approx(ref.stderr, rel=1e-12)
 
     def test_radius_scaling(self):
-        est = mc_ball_estimates(2, 2.0, CFG, lambda y, out: out.fill(1.0), 1)[0]
-        assert est.value == pytest.approx(ball_volume(2, 2.0), abs=1e-9)
+        volume = ball_volume(2, 2.0)
+        est = mc_ball_estimates(2, CFG, lambda y, out: out.fill(1.0), 1, [volume])[0]
+        assert est.value == pytest.approx(volume, abs=1e-9)

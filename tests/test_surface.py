@@ -7,6 +7,10 @@ attribute or an imported name.  The export list of ``spherebl/__init__.py``
 and prose (docstrings, comments, strings) do not count; f-string
 expressions do.  An attribute of ``np`` or ``numpy`` is numpy's, so
 ``np.ones`` does not cover a method ``ones``.
+
+An exception type earns its class only when some caller tells it apart:
+each class of ``spherebl.errors`` must be named in an ``except`` clause or
+an ``isinstance`` call in the same code.
 """
 
 import ast
@@ -37,12 +41,19 @@ def _definitions() -> list[str]:
     return out
 
 
-def _uses() -> set[str]:
+def _nodes() -> list[ast.AST]:
     sources = [path.read_text() for folder in ("src", "demos", "bench")
                for path in sorted((ROOT / folder).rglob("*.py")) if path != INIT]
     sources += re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    return [node for source in sources for node in ast.walk(ast.parse(source))]
+
+
+NODES = _nodes()
+
+
+def _uses() -> set[str]:
     used = set()
-    for node in (node for source in sources for node in ast.walk(ast.parse(source))):
+    for node in NODES:
         if isinstance(node, ast.Name):
             used.add(node.id)
         elif isinstance(node, ast.Attribute) and getattr(node.value, "id", "") not in ("np", "numpy"):
@@ -52,7 +63,26 @@ def _uses() -> set[str]:
     return used
 
 
+def _caught() -> set[str]:
+    """The names of the types in every ``except`` clause and ``isinstance`` call."""
+    caught = set()
+    for node in NODES:
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", "") == "isinstance"
+              and len(node.args) == 2):
+            types = node.args[1]
+        else:
+            continue
+        for t in types.elts if isinstance(types, ast.Tuple) else [types]:
+            caught.add(getattr(t, "id", None) or getattr(t, "attr", None))
+    return caught
+
+
 USES = _uses()
+CAUGHT = _caught()
+ERRORS = [node.name for node in ast.parse((PACKAGE / "errors.py").read_text()).body
+          if isinstance(node, ast.ClassDef)]
 
 
 @pytest.mark.parametrize("name", EXPORTED)
@@ -63,3 +93,8 @@ def test_export_is_reached_outside_the_tests(name):
 @pytest.mark.parametrize("name", _definitions())
 def test_definition_is_reached_outside_the_tests(name):
     assert name.rpartition(".")[2] in USES, f"{name} is public but only the tests use it"
+
+
+@pytest.mark.parametrize("name", ERRORS)
+def test_error_type_is_told_apart_outside_the_tests(name):
+    assert name in CAUGHT, f"{name} is never caught by type; raise ValueError instead"

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from spherebl import (
     EdgeSet,
-    EmptySymmetryError,
     MultiIndex,
-    NotMaximalError,
     Symmetry,
     balanced_types_upto,
     complete_edges,
@@ -154,11 +152,11 @@ class TestDecompose:
         assert s.r_mask.bits == (0, 0, 0, 1, 1)
 
     def test_requires_maximal(self):
-        with pytest.raises(NotMaximalError):
+        with pytest.raises(ValueError, match="not bracket-closed"):
             decompose(EdgeSet.of(4, [(1, 2), (2, 3)]))
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptySymmetryError):
+        with pytest.raises(ValueError, match="no edges to decompose in dimension 4"):
             decompose(EdgeSet.of(4, []))
 
     def test_sorting_weight_then_index(self):
