@@ -2,11 +2,10 @@
 
 The extremal function attached to a symmetry with blocks a_1, ..., a_N and
 free coordinates R couples a product of singular powers with boundary
-singularities:
+singularities, one of each per tail term b in T: the blocks a_2, ..., a_N
+and each free coordinate j in R as the block {j} of one,
 
-    f = prod_{i>=2} |x_{a_i}|^(-g |a_i|) * prod_{j in R} |x_j|^(-g)
-      + sum_{i>=2} (1 - |x_{a_i}|^2)^(-g (n-|a_i|)/2)
-      + sum_{j in R} (1 - x_j^2)^(-g (n-1)/2),
+    f = prod_{b in T} |x_b|^(-g |b|) + sum_{b in T} (1 - |x_b|^2)^(-g (n-|b|)/2),
 
 with strength g > 0.  It depends only on the block radii and free
 coordinates, so it has the right symmetry.  Its L^p norm is finite exactly
@@ -15,8 +14,8 @@ the product over the full balanced family diverges logarithmically, which
 is what makes the exponent sharp: any p below p_sharp admits a family with
 finite norms and a divergent product integral.
 
-Numerically the singular bases are floored: |x| by max(|x|, eps) and
-(1 - |x|^2) by max(., eps^2).  Flooring keeps the integrand total on the
+Numerically the singular bases are floored: |x_b| by max(|x_b|, eps) and
+(1 - |x_b|^2) by max(., eps^2).  Flooring keeps the integrand total on the
 sphere, monotone in eps (smaller eps, larger values), and gives clean 1-d
 asymptotics for the truncated norms.  A floor changes a base only where
 the base lies below it: on S^2 |x_j| < eps holds for an eps share of the
@@ -143,8 +142,8 @@ def _extremal_kernel(s: Symmetry, gamma: float, eps_grid: Sequence[float]):
     one of them.  The result is returned, never kept on the kernel, which
     pool threads share.
 
-    A floor eps changes a base b (|x| or a block radius against eps,
-    1 - |x|^2 against eps^2) only where b < eps, and then it changes it
+    A floor eps changes a base b (the term's radius against eps, 1 minus
+    its square against eps^2) only where b < eps, and then it changes it
     under every larger floor too.  So the floors acting on a point are
     those above the least base of each kind there.  One pass keeps these
     two least bases per point and finds the active points, where the
@@ -157,27 +156,25 @@ def _extremal_kernel(s: Symmetry, gamma: float, eps_grid: Sequence[float]):
     every caller has checked them.
     """
     n = s.n
-    tail = [(np.array([i - 1 for i in a.support()], dtype=int), a.weight)
-            for a in s.alphas[1:]]
-    singles = np.array([i - 1 for i in s.r_mask.support()], dtype=int)
+    # the singular terms as 0-based columns: each free coordinate as a block
+    # of one, then the tail blocks.  In this order a member with at most one
+    # tail block only commutes the terms of a free-coordinate product and
+    # sum followed by the block's, so it keeps those values bit for bit
+    terms = ([[j - 1] for j in s.r_mask.support()]
+             + [[i - 1 for i in a.support()] for a in s.alphas[1:]])
     grid = np.array(eps_grid, dtype=float)
     num = len(grid)
     # the floors of |x| and of 1 - |x|^2, ascending
     asc, asc2 = grid[::-1].copy(), (grid * grid)[::-1].copy()
 
-    def floored(m: int, blocks, single, eps) -> np.ndarray:
+    def floored(m: int, radii, eps) -> np.ndarray:
         # eps is one floor (a numpy scalar) or one floor per point
         floor2 = eps * eps
         prod = np.ones(m)
         sums = np.zeros(m)
-        for r, rest_b, w in blocks:
+        for r, rest, w in radii:
             prod = prod * np.maximum(r, eps) ** (-gamma * w)
-            sums += np.maximum(rest_b, floor2) ** (-gamma * (n - w) / 2.0)
-        if single is not None:
-            ax, rest = single
-            prod = prod * np.prod(np.maximum(ax, eps[..., None]) ** (-gamma), axis=1)
-            sums += (np.maximum(rest, floor2[..., None])
-                     ** (-gamma * (n - 1) / 2.0)).sum(axis=1)
+            sums += np.maximum(rest, floor2) ** (-gamma * (n - w) / 2.0)
         return prod + sums
 
     def ev(pts: np.ndarray):
@@ -185,19 +182,13 @@ def _extremal_kernel(s: Symmetry, gamma: float, eps_grid: Sequence[float]):
         # the least base of each kind at each point: a floor acts on a point
         # exactly when it exceeds one of these
         lo, lo2 = np.full(m, np.inf), np.full(m, np.inf)
-        blocks = []
-        for cols, w in tail:
+        radii = []
+        for cols in terms:
             r2 = (pts[:, cols] ** 2).sum(axis=1)
-            r, rest_b = np.sqrt(r2), 1.0 - r2
-            blocks.append((r, rest_b, w))
+            r, rest = np.sqrt(r2), 1.0 - r2
+            radii.append((r, rest, len(cols)))
             np.minimum(lo, r, out=lo)
-            np.minimum(lo2, rest_b, out=lo2)
-        single = None
-        if singles.size:
-            x = pts[:, singles]
-            single = (np.abs(x), 1.0 - x * x)
-            np.minimum(lo, single[0].min(axis=1), out=lo)
-            np.minimum(lo2, single[1].min(axis=1), out=lo2)
+            np.minimum(lo2, rest, out=lo2)
         # the active points, where the largest floor acts; no floor acts elsewhere
         act = np.flatnonzero((lo < asc[-1]) | (lo2 < asc2[-1]))
         # floors acting on point act[j]: eps_grid[:num - untouched[j]]
@@ -207,9 +198,8 @@ def _extremal_kernel(s: Symmetry, gamma: float, eps_grid: Sequence[float]):
         counts = num - np.maximum(untouched, 1)
         p_idx = np.repeat(act, counts)
         k_idx = np.arange(len(p_idx)) - np.repeat(np.cumsum(counts) - counts, counts)
-        base = floored(m, blocks, single, grid[-1])
-        vals = floored(len(p_idx), [(r[p_idx], rest_b[p_idx], w) for r, rest_b, w in blocks],
-                       None if single is None else (single[0][p_idx], single[1][p_idx]),
+        base = floored(m, radii, grid[-1])
+        vals = floored(len(p_idx), [(r[p_idx], rest[p_idx], w) for r, rest, w in radii],
                        grid[k_idx])
         return base, k_idx, p_idx, vals, act
 
@@ -274,12 +264,7 @@ def _floor_series(fams: Sequence[Symmetry], gamma: float, p: float,
 
 
 def extremal_function(s: Symmetry, params: ExtremalParams) -> Integrand:
-    """The truncated extremal integrand of the symmetry ``s``.
-
-    With a single block the product part runs over the free coordinates
-    only and the first sum is empty; with no free coordinates the product
-    runs over the tail blocks alone.
-    """
+    """The truncated extremal integrand of the symmetry ``s``."""
     kernel = _extremal_kernel(s, params.gamma, [params.trunc])
     return Integrand(n=s.n, eval=lambda pts: kernel(pts)[0], symmetry_tag=s)
 
@@ -550,7 +535,7 @@ def local_growth_experiment(fams: Sequence[Symmetry], exps: Sequence[int],
     def fill(pts: np.ndarray, out: np.ndarray) -> None:
         term = np.empty(len(pts))
         for j, (cols, s) in enumerate(zip(free_cols, s_exps)):
-            r = np.sqrt((pts[:, cols] ** 2).sum(axis=1)) if cols.size else np.zeros(len(pts))
+            r = np.sqrt((pts[:, cols] ** 2).sum(axis=1))
             l = np.log(np.maximum(r, tiny, out=r), out=r)
             for row, lr in zip(out, log_r):
                 acc = term if j else row  # member 0 is written in place

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -11,6 +12,7 @@ from spherebl import (
     ExtremalParams,
     QuadConfig,
     balanced_exponent,
+    balanced_types_upto,
     ball_volume,
     critical_gamma,
     decompose,
@@ -19,6 +21,7 @@ from spherebl import (
     enumerate_symmetries,
     extremal_function,
     fit_line,
+    iter_symmetries,
     local_growth_experiment,
     mc_ball_estimates,
     mc_sphere_estimates,
@@ -120,7 +123,6 @@ class TestRadialOracle:
             1 - 0.45 * 4)
 
     def test_reciprocal_matches_exponent_to_8(self):
-        from spherebl import balanced_types_upto
         for t in balanced_types_upto(8):
             assert 1 / critical_gamma(t) == balanced_exponent(t)
 
@@ -433,6 +435,25 @@ def _rows_on_a_floor(s, e):
     return np.array(rows)
 
 
+def _assert_matches_reference(vals, ref, s):
+    """Kernel values of ``s`` against :func:`_reference_extremal`.  The
+    kernel multiplies and adds its terms free coordinates first; with at most
+    one tail block that is the reference's order up to commutation, so only
+    members of three or more blocks may differ, in the last bits of a
+    product or a sum (4 ulp)."""
+    if len(s.alphas) <= 2:
+        assert np.array_equal(vals, ref), s
+    else:
+        assert np.all(np.abs(vals - ref) <= 8.9e-16 * ref), s
+
+
+#: members of the kernel tests, as (n, edges): two blocks and a free
+#: coordinate, one block, a block of three and one of two, and two blocks
+#: with two free coordinates
+_KERNEL_MEMBERS = [(5, [(1, 2), (3, 4)]), (5, [(1, 2)]),
+                   (5, [(1, 2), (1, 3), (2, 3), (4, 5)]), (6, [(1, 2), (3, 4)])]
+
+
 # every shard is one chunk of every pass below, so sums are taken over the
 # same points in the same order whatever the number of series
 FUSED_CFG = QuadConfig(samples=40_000, seed=61, shards=4)
@@ -517,23 +538,25 @@ def _assert_norm_scan_series_equal_per_eps_passes(s, gamma, p, cfg, grid=FUSED_G
 
 class TestFusedGrids:
     def test_kernel_matches_reference(self):
-        pts = next(iter(sample_sphere(5, QuadConfig(samples=2000, seed=3, shards=1))))
-        pts[:5, 4] = [0.0, 1e-7, -1e-3, 0.02, -0.3]  # inside the floors
-        for edges in ([(1, 2), (3, 4)], [(1, 2)], [(1, 2), (1, 3), (2, 3), (4, 5)]):
-            s = decompose(EdgeSet.of(5, edges))
+        for n, edges in _KERNEL_MEMBERS:
+            pts = next(iter(sample_sphere(n, QuadConfig(samples=2000, seed=3, shards=1))))
+            pts[:5, 4] = [0.0, 1e-7, -1e-3, 0.02, -0.3]  # inside the floors
+            s = decompose(EdgeSet.of(n, edges))
             for eps in (2.0 ** -3, 2.0 ** -10, 2.0 ** -20):
                 f = extremal_function(s, ExtremalParams(gamma=0.3, trunc=eps))
                 assert np.array_equal(f.eval(pts), _reference_extremal(s, 0.3, eps, pts))
 
     def test_kernel_rows_match_reference_at_every_floor(self):
-        pts = next(iter(sample_sphere(5, QuadConfig(samples=2000, seed=5, shards=1))))
-        pts[:6, 4] = [0.0, 2.0 ** -10, -2.0 ** -5, 2.0 ** -20, -(1 - 2.0 ** -30), 1.0]
-        pts[6, :4] = [2.0 ** -7, 0.0, 0.0, 0.0]  # radius of {1,2} and {1,2,3} is a floor
-        pts[7] = [0.0, 0.0, 0.0, 2.0 ** -12, 0.0]  # radius of {3,4} and {4,5} is a floor
-        pts[8, :4] = [0.6, 0.8, 0.0, 0.0]  # a block radius of 1
         repeated = [2.0 ** -3, 2.0 ** -5, 2.0 ** -5, 2.0 ** -10, 2.0 ** -12, 2.0 ** -12]
-        for edges in ([(1, 2), (3, 4)], [(1, 2)], [(1, 2), (1, 3), (2, 3), (4, 5)]):
-            s = decompose(EdgeSet.of(5, edges))
+        for n, edges in _KERNEL_MEMBERS:
+            pts = next(iter(sample_sphere(n, QuadConfig(samples=2000, seed=5, shards=1))))
+            pts[:6, 4] = [0.0, 2.0 ** -10, -2.0 ** -5, 2.0 ** -20, -(1 - 2.0 ** -30), 1.0]
+            pts[6, :4] = [2.0 ** -7, 0.0, 0.0, 0.0]  # radius of {1,2} and {1,2,3} is a floor
+            pts[7] = 0.0
+            pts[7, 3] = 2.0 ** -12  # radius of {3,4} and {4,5} is a floor
+            pts[8, :4] = [0.6, 0.8, 0.0, 0.0]  # a block radius of 1
+            pts[9:15, n - 1] = pts[:6, 4]  # the same values in the last coordinate
+            s = decompose(EdgeSet.of(n, edges))
             for grid in (FUSED_GRID, repeated):
                 base, k_idx, p_idx, vals, act = _extremal_kernel(s, 0.3, grid)(pts)
                 assert 0 < len(vals) < (len(grid) - 1) * len(pts)
@@ -544,7 +567,8 @@ class TestFusedGrids:
                     assert np.array_equal(rows[k], _reference_extremal(s, 0.3, eps, pts)), \
                         (edges, eps)
 
-    @pytest.mark.parametrize("member", ["3;2", "4;2,2", "4;3", "5;3,2", "tail-9"])
+    @pytest.mark.parametrize("member", ["3;2", "4;2,2", "4;3", "5;3,2", "6;2,2", "7;2,2,2",
+                                        "tail-9"])
     def test_pairs_are_the_acting_floors(self, member):
         if member == "tail-9":
             blocks = [range(1, 10), range(10, 19)]
@@ -553,8 +577,9 @@ class TestFusedGrids:
             assert max(a.weight for a in members[0].alphas[1:]) == 9
         else:
             n, lengths = member.split(";")
-            members = enumerate_symmetries(BalancedType(int(n), tuple(
-                int(a) for a in lengths.split(","))))
+            # the first 40 members: all of every type but (6; 2,2) and (7; 2,2,2)
+            members = list(itertools.islice(iter_symmetries(BalancedType(int(n), tuple(
+                int(a) for a in lengths.split(",")))), 40))
         n = members[0].n
         sampled = next(iter(sample_sphere(n, QuadConfig(samples=400, seed=7, shards=1))))
         for s in members:
@@ -575,7 +600,17 @@ class TestFusedGrids:
             _fill_rows(rows, base, k_idx, p_idx, vals)
             assert np.array_equal(rows, np.broadcast_to(base, rows.shape))
             for eps in (FUSED_GRID[0], FUSED_GRID[-1]):
-                assert np.array_equal(base, _reference_extremal(s, 0.3, eps, edge))
+                _assert_matches_reference(base, _reference_extremal(s, 0.3, eps, edge), s)
+
+    def test_kernel_rows_match_reference_for_every_type(self):
+        for t in balanced_types_upto(8):
+            pts = next(iter(sample_sphere(t.n, QuadConfig(samples=500, seed=9, shards=1))))
+            for s in itertools.islice(iter_symmetries(t), 40):
+                base, k_idx, p_idx, vals, _ = _extremal_kernel(s, 0.3, FUSED_GRID)(pts)
+                rows = np.empty((len(FUSED_GRID), len(pts)))
+                _fill_rows(rows, base, k_idx, p_idx, vals)
+                ref = np.stack([_reference_extremal(s, 0.3, eps, pts) for eps in FUSED_GRID])
+                _assert_matches_reference(rows, ref, s)
 
     def test_power_does_not_depend_on_position(self):
         # the fused runs raise the base row and the pairs to a power apart
